@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro.core.sampling import MaskingSampler
+from repro.core.coalition_engine import CoalitionEngine
 from repro.datasets import make_classification, make_correlated_gaussian
 from repro.models import DecisionTreeClassifier
 from repro.shapley import (
@@ -39,7 +39,7 @@ def test_e33_treeshap_variants(benchmark):
         t0 = time.perf_counter()
         fast = explainer.explain(x).values
         t_fast = time.perf_counter() - t0
-        sampler = MaskingSampler(background, max_background=12)
+        sampler = CoalitionEngine(background, max_background=12)
         v = sampler.value_function(
             lambda X: tree.predict_proba(X)[:, 1], x
         )

@@ -14,9 +14,13 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.datasets import make_loan_dataset
-from repro.models import GradientBoostingClassifier
-from repro.shapley import KernelShapExplainer, SamplingShapleyExplainer
+from repro.core import CoalitionEngine, as_predict_fn
+from repro.shapley import (
+    KernelShapExplainer,
+    SamplingShapleyExplainer,
+    kernel_shap,
+    permutation_shapley,
+)
 
 from conftest import emit, fmt_row
 
@@ -24,44 +28,57 @@ N_PERMUTATIONS = 100
 KERNEL_BUDGET = 126
 
 
-def _timed_explain(explainer, x):
-    """(attribution, wall seconds, rows evaluated) for one explain call."""
+def _timed(run):
+    """(result, wall seconds, rows evaluated) for one call."""
     rows_before = obs.counter("model.rows").value
     t0 = time.perf_counter()
-    attribution = explainer.explain(x)
+    result = run()
     wall = time.perf_counter() - t0
-    return attribution, wall, obs.counter("model.rows").value - rows_before
+    return result, wall, obs.counter("model.rows").value - rows_before
 
 
 def test_e37_engine_speedup(loan_setup):
     data, __, gbm = loan_setup
     x = data.X[1]
+    n = x.shape[0]
+    # The legacy side: the pre-engine value function (loop expansion,
+    # one unchunked call, no cache) over the explainers' own background
+    # subsample, fed to the same estimators.
+    legacy_v = CoalitionEngine(
+        data.X, max_background=100
+    ).legacy_value_function(as_predict_fn(gbm), x)
 
-    common = dict(
-        n_permutations=N_PERMUTATIONS, max_background=100, seed=3
+    phi_legacy, wall_legacy, rows_legacy = _timed(
+        lambda: permutation_shapley(
+            legacy_v, n, n_permutations=N_PERMUTATIONS, seed=3
+        )[0]
     )
-    legacy = SamplingShapleyExplainer(gbm, data.X, engine=False, **common)
-    engine = SamplingShapleyExplainer(gbm, data.X, engine=True, **common)
-
-    att_legacy, wall_legacy, rows_legacy = _timed_explain(legacy, x)
+    engine = SamplingShapleyExplainer(
+        gbm, data.X, n_permutations=N_PERMUTATIONS, max_background=100,
+        seed=3,
+    )
     hits_before = obs.counter("coalition.cache.hits").value
     misses_before = obs.counter("coalition.cache.misses").value
-    att_engine, wall_engine, rows_engine = _timed_explain(engine, x)
+    att_engine, wall_engine, rows_engine = _timed(lambda: engine.explain(x))
     cache_hits = obs.counter("coalition.cache.hits").value - hits_before
     cache_misses = obs.counter("coalition.cache.misses").value - misses_before
 
     # Equal budget, identical numbers: the engine is a pure perf change.
-    assert np.array_equal(att_engine.values, att_legacy.values)
+    assert np.array_equal(att_engine.values, phi_legacy)
     speedup = wall_legacy / wall_engine
 
     # Kernel SHAP at full enumeration: coalitions are all distinct, so
     # this row isolates the broadcast-expansion win without cache help.
-    k_common = dict(n_samples=KERNEL_BUDGET, max_background=100, seed=3)
-    k_legacy = KernelShapExplainer(gbm, data.X, engine=False, **k_common)
-    k_engine = KernelShapExplainer(gbm, data.X, engine=True, **k_common)
-    k_att_legacy, k_wall_legacy, k_rows_legacy = _timed_explain(k_legacy, x)
-    k_att_engine, k_wall_engine, k_rows_engine = _timed_explain(k_engine, x)
-    assert np.array_equal(k_att_engine.values, k_att_legacy.values)
+    k_phi_legacy, k_wall_legacy, k_rows_legacy = _timed(
+        lambda: kernel_shap(legacy_v, n, n_samples=KERNEL_BUDGET, seed=3)[0]
+    )
+    k_engine = KernelShapExplainer(
+        gbm, data.X, n_samples=KERNEL_BUDGET, max_background=100, seed=3
+    )
+    k_att_engine, k_wall_engine, k_rows_engine = _timed(
+        lambda: k_engine.explain(x)
+    )
+    assert np.array_equal(k_att_engine.values, k_phi_legacy)
     k_speedup = k_wall_legacy / k_wall_engine
 
     rows = [

@@ -72,7 +72,7 @@ def _engine_workload(gbm, X, x):
     # A fresh explainer per run: the coalition value cache must start
     # cold in every condition, or the first condition measured wins.
     explainer = SamplingShapleyExplainer(
-        gbm, X, engine=True, n_permutations=N_PERMUTATIONS,
+        gbm, X, n_permutations=N_PERMUTATIONS,
         max_background=100, seed=3,
     )
     return explainer.explain(x).values

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate, runnable locally and in CI: the full test suite, the
-# source lints, and the benchmark wall-time regression guard.
+# benchmark's own helper tests, the source lints, and the benchmark
+# wall-time regression guard.
 # Referenced from ROADMAP.md ("Tier-1 verify"); exits non-zero on the
 # first failing step.
 set -eu
@@ -11,6 +12,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: pytest =="
 python -m pytest -x -q
+
+echo "== tier-1: pytest (benchmark helpers) =="
+python -m pytest perfbench/tests -q
 
 echo "== tier-1: lint (no print) =="
 python scripts/check_no_print.py

@@ -16,7 +16,7 @@ from .coalition_engine import (
     broadcast_expand,
     legacy_expand,
 )
-from .sampling import GaussianPerturber, MaskingSampler
+from .sampling import GaussianPerturber
 
 __all__ = [
     "CoalitionEngine",
@@ -35,5 +35,4 @@ __all__ = [
     "CounterfactualExplanation",
     "DataAttribution",
     "GaussianPerturber",
-    "MaskingSampler",
 ]

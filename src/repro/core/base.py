@@ -21,7 +21,7 @@ Every normalized predict function carries two layers:
 Subclassing :class:`Explainer` auto-instruments ``explain`` /
 ``explain_batch`` with spans *and* wraps them in a fresh guard scope, so
 budgets are per explanation (each row of a batch budgets independently,
-including on the thread-pool path). ``explain_batch`` degrades
+on every backend). ``explain_batch`` degrades
 gracefully: per-row failures are captured, completed rows survive, and
 the caller gets them back either via ``return_errors=True`` or on the
 :class:`repro.robust.PartialBatchError` raised by default.
@@ -29,16 +29,14 @@ the caller gets them back either via ``return_errors=True`` or on the
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
+from ..exec import in_worker, map_shards, plan_shards, resolve_backend, \
+    resolve_n_procs
 from ..obs import metrics
 from ..obs.instrument import instrument_explainer
 from ..obs.metrics import meter_predict_fn
@@ -53,7 +51,7 @@ from ..robust.guard import (
 )
 from .explanation import FeatureAttribution
 
-__all__ = ["as_predict_fn", "Explainer", "AttributionExplainer", "resolve_n_jobs"]
+__all__ = ["as_predict_fn", "Explainer", "AttributionExplainer"]
 
 _ROWS_FAILED = "robust.rows_failed"
 _PLAN_FALLBACKS = "coalition.plan.fallbacks"
@@ -74,26 +72,6 @@ def _budgets_configured(guard) -> bool:
         or resolve_query_budget(cfg.query_budget if cfg else None) is not None
     )
 
-
-def resolve_n_jobs(n_jobs: int | None = None) -> int:
-    """Worker count for ``explain_batch``: param > ``REPRO_N_JOBS`` > 1.
-
-    ``-1`` (either source) means "all cores". Parallelism stays off unless
-    explicitly requested — serial is the correctness baseline and the
-    right default for the common small-batch case.
-    """
-    if n_jobs is None:
-        env = os.environ.get("REPRO_N_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            n_jobs = int(env)
-        except ValueError:
-            return 1
-    n_jobs = int(n_jobs)
-    if n_jobs < 0:
-        n_jobs = os.cpu_count() or 1
-    return max(1, n_jobs)
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -216,7 +194,6 @@ class AttributionExplainer(Explainer):
     def explain_batch(
         self,
         X: np.ndarray,
-        n_jobs: int | None = None,
         return_errors: bool = False,
         backend: str | None = None,
         n_procs: int | None = None,
@@ -224,23 +201,18 @@ class AttributionExplainer(Explainer):
     ) -> list[FeatureAttribution] | tuple[list, list[BatchRowError]]:
         """Explain every row of ``X``, surviving per-row failures.
 
-        ``n_jobs`` (or env ``REPRO_N_JOBS``; default 1 = serial) sizes a
-        ``concurrent.futures`` thread pool. Each instance runs under a
-        copy of the submitting context, so per-instance ``explain`` spans
-        keep the batch span as parent, eval counters roll up exactly as
-        in the serial path, and each row gets its own guard scope;
-        results are returned in row order.
-
-        ``backend`` (or env ``REPRO_BACKEND``; see :mod:`repro.exec`)
-        selects the execution backend instead: ``"thread"`` is the pool
-        above sized by ``n_procs``, ``"process"`` shards contiguous row
-        ranges across forked workers. Worker rows re-raise per-row
-        failures through the same :class:`BatchRowError` channel (a dead
-        worker fails its shard's rows, never hangs the batch), worker
-        spans re-parent under this call's batch span, and worker-side
+        ``backend`` (or env ``REPRO_BACKEND``; default serial; see
+        :mod:`repro.exec`) selects the execution backend: ``"thread"``,
+        ``"process"`` and ``"spawn"`` all shard contiguous row ranges
+        across ``n_procs`` workers through :func:`repro.exec.map_shards`.
+        Each row runs under a copy of the submitting context with its
+        own guard scope, so per-instance ``explain`` spans keep the
+        batch span as parent (worker spans re-parent under it on join),
+        eval counters roll up exactly as in the serial path (worker-side
         ``model.*`` / ``robust.*`` counters merge into the parent
-        snapshot on join. ``backend`` takes precedence over ``n_jobs``
-        when both request parallelism.
+        snapshot), and results come back in row order. Per-row failures
+        travel through the :class:`BatchRowError` channel; a dead worker
+        fails its shard's rows, never hangs the batch.
 
         Failure semantics (serial and parallel paths behave identically):
         one poisoned row no longer discards the completed ones. With
@@ -276,11 +248,8 @@ class AttributionExplainer(Explainer):
                 f"explain_batch needs a non-empty batch, got shape {X.shape}"
             )
         backend_name = resolve_backend(backend)
-        n_jobs = resolve_n_jobs(n_jobs)
-        if backend_name == "thread":
-            n_jobs = max(n_jobs, resolve_n_procs(n_procs))
 
-        results = self._try_amortized(X, backend_name, n_jobs, n_procs, kwargs)
+        results = self._try_amortized(X, backend_name, n_procs, kwargs)
         if results is not None:
             return (results, []) if return_errors else results
 
@@ -290,19 +259,12 @@ class AttributionExplainer(Explainer):
             except Exception as e:
                 return None, BatchRowError(index=i, error=e)
 
-        if backend_name in ("process", "spawn") and X.shape[0] >= 2:
-            outcomes = self._run_batch_process(
-                X, run_row, n_procs, backend=backend_name
-            )
-        elif n_jobs == 1 or X.shape[0] <= 1:
+        if backend_name == "serial" or X.shape[0] <= 1:
             outcomes = [run_row(i, x) for i, x in enumerate(X)]
         else:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_row, i, x)
-                    for i, x in enumerate(X)
-                ]
-                outcomes = [f.result() for f in futures]
+            outcomes = self._run_batch_sharded(
+                X, run_row, n_procs, backend_name
+            )
         results = [res for res, __ in outcomes]
         errors = [err for __, err in outcomes if err is not None]
         if errors:
@@ -313,7 +275,7 @@ class AttributionExplainer(Explainer):
             raise PartialBatchError(partial=results, errors=errors)
         return results
 
-    def _try_amortized(self, X, backend_name, n_jobs, n_procs, kwargs):
+    def _try_amortized(self, X, backend_name, n_procs, kwargs):
         """Run the shared-plan batch path if eligible, else ``None``.
 
         Eligibility gates keep the fused path strictly
@@ -337,7 +299,7 @@ class AttributionExplainer(Explainer):
         ):
             try:
                 results = self._run_amortized(
-                    X, backend_name, n_jobs, n_procs, **kwargs
+                    X, backend_name, n_procs, **kwargs
                 )
                 amortized = True
             except Exception:
@@ -352,7 +314,7 @@ class AttributionExplainer(Explainer):
         """Explainer-specific veto for the amortized path (default: on)."""
         return True
 
-    def _run_amortized(self, X, backend_name, n_jobs, n_procs, **kwargs):
+    def _run_amortized(self, X, backend_name, n_procs, **kwargs):
         """Shared-plan batch execution: one context, row-sharded evaluation.
 
         ``_amortized_context`` builds everything row-independent (the
@@ -364,14 +326,8 @@ class AttributionExplainer(Explainer):
         """
         ctx = self._amortized_context(X, **kwargs)
         n_rows = X.shape[0]
-        if backend_name == "serial" and n_jobs > 1:
-            backend_name = "thread"
-            workers = n_jobs
-        elif backend_name != "serial":
-            workers = max(resolve_n_procs(n_procs), n_jobs)
-        else:
-            workers = 1
-        if backend_name == "serial" or workers < 2:
+        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
+        if workers < 2:
             return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
         plan = plan_shards(n_rows, workers)
         if plan.n_shards < 2:
@@ -392,17 +348,20 @@ class AttributionExplainer(Explainer):
             results.extend(outcome.value)
         return results
 
-    def _run_batch_process(self, X, run_row, n_procs, backend="process"):
-        """Row-sharded ``explain_batch`` over worker processes.
+    def _run_batch_sharded(self, X, run_row, n_procs, backend):
+        """Row-sharded ``explain_batch`` on a thread or process pool.
 
-        Each shard is a contiguous row range; workers ship back, per
-        row, either the explanation or a JSON-safe error record (live
-        exception objects do not reliably cross the pickle boundary).
-        ``split_scope=False`` because budgets here are per *row*, not
-        per batch: each ``explain`` call opens its own guard scope in
-        the worker exactly as it does serially. Under ``spawn`` the
-        row closure cannot pickle, so :func:`repro.exec.map_shards`
-        degrades it to the thread pool — same results, shared memory.
+        Each shard is a contiguous row range; shards ship back, per
+        row, either the explanation or its error. Worker processes send
+        a JSON-safe error record, because live exception objects do not
+        reliably cross the pickle boundary; shards that run in this
+        process (threads, or a pool degraded to threads) keep the live
+        :class:`BatchRowError`. ``split_scope=False`` because budgets
+        here are per *row*, not per batch: each ``explain`` call opens
+        its own guard scope exactly as it does serially. Under
+        ``spawn`` the row closure cannot pickle, so
+        :func:`repro.exec.map_shards` degrades it to the thread pool —
+        same results, shared memory.
         """
         plan = plan_shards(X.shape[0], resolve_n_procs(n_procs))
 
@@ -411,7 +370,9 @@ class AttributionExplainer(Explainer):
             out = []
             for i in range(lo, hi):
                 res, err = run_row(i, X[i])
-                out.append((res, None if err is None else err.to_dict()))
+                if err is not None and in_worker():
+                    err = err.to_dict()
+                out.append((res, err))
             return out
 
         shard_args = list(plan.slices)
@@ -431,13 +392,10 @@ class AttributionExplainer(Explainer):
                 )
                 continue
             for res, err in outcome.value:
-                if err is None:
-                    outcomes.append((res, None))
-                else:
+                if isinstance(err, dict):
                     exc = type(err["error_type"], (Exception,), {})(
                         err["message"]
                     )
-                    outcomes.append(
-                        (None, BatchRowError(index=err["index"], error=exc))
-                    )
+                    err = BatchRowError(index=err["index"], error=exc)
+                outcomes.append((res, err))
         return outcomes

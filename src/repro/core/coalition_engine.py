@@ -9,8 +9,7 @@ post-hoc explainers is exactly this model-query bill, and the meters in
 :mod:`repro.obs` made it visible; this module makes it cheap:
 
 * **Broadcast masking** — one ``np.where(coalitions[:, None, :], x,
-  background)`` replaces the per-coalition Python loop that used to live
-  in ``MaskingSampler.expand``.
+  background)`` replaces the historical per-coalition Python loop.
 * **Memory-bounded chunking** — ``max_batch_rows`` (env
   ``REPRO_MAX_BATCH_ROWS``) splits huge coalition×background blocks into
   bounded predict-fn calls instead of one giant allocation; the chunk
@@ -20,6 +19,13 @@ post-hoc explainers is exactly this model-query bill, and the meters in
   walks and the fully-enumerated small sizes of Kernel SHAP never pay
   for the same ``v(S)`` twice. Hits/misses are exported through
   ``repro.obs.metrics`` as ``coalition.cache.hits`` / ``.misses``.
+
+:class:`CoalitionEngine` owns the background, the chunk bound and the
+chunk-retry allowance, and builds the (optionally snapshot-pre-warmed)
+value store; the masking game itself is
+:class:`repro.games.adapters.FeatureMaskingGame`, and the dedupe, chunk
+and retry loop is :func:`repro.games.engine.game_value_function` — the
+one evaluator every cooperative game in the library runs through.
 
 The cache is only correct when the value function is a *deterministic*
 function of the mask — true for the interventional masking game (no
@@ -51,10 +57,9 @@ from typing import Callable
 import numpy as np
 
 from ..obs import metrics
-from ..obs.trace import span
 from ..persist.errors import PayloadError
 from ..persist.protocol import register_serializable
-from ..robust.errors import ModelEvaluationError
+from ..robust.errors import InputValidationError
 
 __all__ = [
     "DEFAULT_MAX_BATCH_ROWS",
@@ -72,24 +77,30 @@ DEFAULT_CHUNK_RETRIES = 1
 
 _HITS = "coalition.cache.hits"
 _MISSES = "coalition.cache.misses"
-_CHUNK_RETRIES = "robust.chunk_retries"
 
 
 def resolve_max_batch_rows(value: int | None = None) -> int:
     """The per-predict-call row bound: explicit value > env > default.
 
     ``REPRO_MAX_BATCH_ROWS`` lets deployments cap the transient
-    coalition×background allocation without touching call sites.
+    coalition×background allocation without touching call sites. A
+    value that is not a positive integer raises
+    :class:`~repro.robust.InputValidationError` naming the variable.
     """
     if value is not None:
         return max(1, int(value))
     env = os.environ.get("REPRO_MAX_BATCH_ROWS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_BATCH_ROWS
+    if not env:
+        return DEFAULT_MAX_BATCH_ROWS
+    try:
+        rows = int(env)
+    except ValueError:
+        rows = 0
+    if rows < 1:
+        raise InputValidationError(
+            f"REPRO_MAX_BATCH_ROWS must be a positive integer, got {env!r}"
+        )
+    return rows
 
 
 def resolve_cache(value: bool = True) -> bool:
@@ -116,8 +127,8 @@ def broadcast_expand(
     Returns shape ``(n_coalitions * n_background, d)``: for each
     coalition, one copy of every background row with present features
     overwritten by the instance's values. Block layout (all background
-    rows of coalition 0, then coalition 1, …) matches the historical
-    ``MaskingSampler.expand`` exactly.
+    rows of coalition 0, then coalition 1, …) matches
+    :func:`legacy_expand` exactly.
     """
     x = np.asarray(x, dtype=float).ravel()
     coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
@@ -224,9 +235,51 @@ class CoalitionValueCache:
         return out
 
 
+class _FusedMaskingGame:
+    """The ``instance × coalition`` grid as a position-keyed game.
+
+    Position ``p`` is coalition ``p % n_coalitions`` fixed to instance
+    ``X[p // n_coalitions]``, so one evaluator chunk can span row
+    boundaries; each position's value is still the mean over its own
+    background block only.
+    """
+
+    guarded = True
+
+    def __init__(self, model_fn, X: np.ndarray, n_coalitions: int,
+                 background: np.ndarray) -> None:
+        self.model_fn = model_fn
+        self.X = X
+        self.n_coalitions = n_coalitions
+        self.background = background
+        self.n_players = X.shape[1]
+        self.rows_per_coalition = background.shape[0]
+
+    def value_at(self, positions: np.ndarray, masks: np.ndarray
+                 ) -> np.ndarray:
+        rows = np.where(
+            masks[:, None, :],
+            self.X[positions // self.n_coalitions][:, None, :],
+            self.background[None, :, :],
+        ).reshape(masks.shape[0] * self.rows_per_coalition, self.n_players)
+        preds = np.asarray(self.model_fn(rows), dtype=float).ravel()
+        return preds.reshape(masks.shape[0], self.rows_per_coalition).mean(
+            axis=1
+        )
+
+    def value(self, masks: np.ndarray) -> np.ndarray:
+        return self.value_at(np.arange(masks.shape[0]), masks)
+
+
 @register_serializable("core.CoalitionEngine")
 class CoalitionEngine:
-    """Vectorized, cached, memory-bounded coalition evaluation.
+    """Background, chunk bound and retry allowance for masking games.
+
+    The interventional masking sampler of Kernel SHAP and friends: a
+    coalition's absent features are imputed from the background sample.
+    Evaluation runs through :func:`repro.games.engine.game_value_function`
+    over a :class:`repro.games.adapters.FeatureMaskingGame`, which
+    carries this engine's settings.
 
     Parameters
     ----------
@@ -296,44 +349,23 @@ class CoalitionEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(
-        self,
-        model_fn: Callable[[np.ndarray], np.ndarray],
-        x: np.ndarray,
-        coalitions: np.ndarray,
-        sp,
-    ) -> np.ndarray:
-        """Chunked v(S) for unique coalitions; one value per coalition."""
-        n_b = self.n_background
-        n_c = coalitions.shape[0]
-        per_chunk = max(1, self.max_batch_rows // n_b)
-        values = np.empty(n_c, dtype=float)
-        n_chunks = 0
-        for start in range(0, n_c, per_chunk):
-            chunk = coalitions[start : start + per_chunk]
-            with metrics.observe_duration("coalition.chunk_ms"):
-                rows = broadcast_expand(x, chunk, self.background)
-                attempt = 0
-                while True:
-                    try:
-                        preds = np.asarray(model_fn(rows), dtype=float).ravel()
-                        break
-                    except ModelEvaluationError:
-                        # Chunk-level retry: re-enter the guard with a fresh
-                        # allowance. BudgetExceededError is not a
-                        # ModelEvaluationError and propagates immediately.
-                        attempt += 1
-                        if attempt > self.chunk_retries:
-                            raise
-                        metrics.counter(_CHUNK_RETRIES).inc()
-                values[start : start + chunk.shape[0]] = preds.reshape(
-                    chunk.shape[0], n_b
-                ).mean(axis=1)
-            n_chunks += 1
-        sp.set_attr("chunk_coalitions", per_chunk)
-        sp.set_attr("chunk_rows", per_chunk * n_b)
-        sp.set_attr("n_chunks", n_chunks)
-        return values
+    def new_store(self, x: np.ndarray, cache: bool = True
+                  ) -> CoalitionValueCache | None:
+        """A fresh value store for instance ``x``; ``None`` when caching is
+        off (``cache=False`` or ``REPRO_COALITION_CACHE=0``).
+
+        Opt-in pre-warming from a persisted snapshot
+        (``REPRO_CACHE_SNAPSHOT``): scope tokens keep foreign snapshots
+        out, and a broken snapshot never fails the explanation.
+        """
+        if not resolve_cache(cache):
+            return None
+        from ..persist.snapshot import (maybe_prewarm, resolve_snapshot_path,
+                                        scope_token)
+        store = CoalitionValueCache()
+        if resolve_snapshot_path() is not None:
+            maybe_prewarm(store, scope_token(x, self.background))
+        return store
 
     def batch_value_matrix(
         self,
@@ -358,49 +390,18 @@ class CoalitionEngine:
         :class:`repro.games.plan.CoalitionPlan`); no value cache is
         consulted here.
         """
+        # Deferred import: repro.games imports this module at package init.
+        from ..games.engine import game_value_function
+
         X = np.atleast_2d(np.asarray(X, dtype=float))
         coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
         n_rows, n_c = X.shape[0], coalitions.shape[0]
-        n_b = self.n_background
-        total = n_rows * n_c
-        per_chunk = max(1, self.max_batch_rows // n_b)
-        out = np.empty(total, dtype=float)
-        with span(
-            "coalition_eval", n_coalitions=total, n_background=n_b,
-            fused_rows=n_rows,
-        ) as sp:
-            n_chunks = 0
-            for start in range(0, total, per_chunk):
-                stop = min(start + per_chunk, total)
-                slots = np.arange(start, stop)
-                row_ids = slots // n_c
-                coal_ids = slots - row_ids * n_c
-                with metrics.observe_duration("coalition.chunk_ms"):
-                    rows = np.where(
-                        coalitions[coal_ids][:, None, :],
-                        X[row_ids][:, None, :],
-                        self.background[None, :, :],
-                    ).reshape((stop - start) * n_b, X.shape[1])
-                    attempt = 0
-                    while True:
-                        try:
-                            preds = np.asarray(
-                                model_fn(rows), dtype=float
-                            ).ravel()
-                            break
-                        except ModelEvaluationError:
-                            attempt += 1
-                            if attempt > self.chunk_retries:
-                                raise
-                            metrics.counter(_CHUNK_RETRIES).inc()
-                    out[start:stop] = preds.reshape(
-                        stop - start, n_b
-                    ).mean(axis=1)
-                n_chunks += 1
-            sp.set_attr("chunk_coalitions", per_chunk)
-            sp.set_attr("chunk_rows", per_chunk * n_b)
-            sp.set_attr("n_chunks", n_chunks)
-        return out.reshape(n_rows, n_c)
+        game = _FusedMaskingGame(model_fn, X, n_c, self.background)
+        v = game_value_function(
+            game, cache=False, max_batch_rows=self.max_batch_rows,
+            chunk_retries=self.chunk_retries,
+        )
+        return v(np.tile(coalitions, (n_rows, 1))).reshape(n_rows, n_c)
 
     def value_function(
         self,
@@ -416,64 +417,12 @@ class CoalitionEngine:
         identical masks are evaluated once within and across calls; the
         cache is reachable afterwards as ``v.cache``.
         """
-        x = np.asarray(x, dtype=float).ravel()
-        store = CoalitionValueCache() if resolve_cache(cache) else None
-        if store is not None:
-            # Opt-in pre-warming from a persisted snapshot
-            # (REPRO_CACHE_SNAPSHOT). Scope tokens keep foreign snapshots
-            # out, and a broken snapshot never fails the explanation.
-            from ..persist.snapshot import (maybe_prewarm,
-                                            resolve_snapshot_path,
-                                            scope_token)
-            if resolve_snapshot_path() is not None:
-                maybe_prewarm(store, scope_token(x, self.background))
+        from ..games.adapters import FeatureMaskingGame
+        from ..games.engine import game_value_function
 
-        def v(coalitions: np.ndarray) -> np.ndarray:
-            coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
-            n_c = coalitions.shape[0]
-            with span(
-                "coalition_eval", n_coalitions=n_c, n_background=self.n_background
-            ) as sp:
-                if store is None:
-                    out = self._evaluate(model_fn, x, coalitions, sp)
-                    sp.set_attr("cache_hits", 0)
-                    sp.set_attr("cache_misses", n_c)
-                    return out
-                keys = np.packbits(coalitions, axis=1)
-                out = np.empty(n_c, dtype=float)
-                # First occurrence of each uncached mask, plus every row
-                # (cached, duplicate, or fresh) it must fill.
-                fresh_rows: list[int] = []
-                followers: dict[bytes, list[int]] = {}
-                hits = 0
-                for i in range(n_c):
-                    key = keys[i].tobytes()
-                    known = store.values.get(key)
-                    if known is not None:
-                        out[i] = known
-                        hits += 1
-                    elif key in followers:
-                        followers[key].append(i)
-                        hits += 1
-                    else:
-                        followers[key] = [i]
-                        fresh_rows.append(i)
-                if fresh_rows:
-                    vals = self._evaluate(
-                        model_fn, x, coalitions[fresh_rows], sp
-                    )
-                    for j, i0 in enumerate(fresh_rows):
-                        key = keys[i0].tobytes()
-                        store.values[key] = vals[j]
-                        for i in followers[key]:
-                            out[i] = vals[j]
-                store.record(hits, len(fresh_rows))
-                sp.set_attr("cache_hits", hits)
-                sp.set_attr("cache_misses", len(fresh_rows))
-                return out
-
-        v.cache = store
-        return v
+        return game_value_function(
+            FeatureMaskingGame(model_fn, x, engine=self, cache=cache)
+        )
 
     def legacy_value_function(
         self, model_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray

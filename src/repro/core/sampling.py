@@ -2,20 +2,20 @@
 
 All local model-agnostic explainers share the same primitive: draw points
 "near" an instance, or draw points with a chosen subset of features fixed to
-the instance and the rest resampled from a background distribution. The two
-samplers here implement those primitives once so every explainer perturbs
-data the same way and the LIME-instability experiments (E4) can vary the
-sampler in isolation.
+the instance and the rest resampled from a background distribution. The
+first lives here; the second is
+:class:`repro.core.coalition_engine.CoalitionEngine`. Each is implemented
+once so every explainer perturbs data the same way and the
+LIME-instability experiments (E4) can vary the sampler in isolation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coalition_engine import CoalitionEngine
 from .dataset import TabularDataset
 
-__all__ = ["GaussianPerturber", "MaskingSampler"]
+__all__ = ["GaussianPerturber"]
 
 
 class GaussianPerturber:
@@ -76,22 +76,3 @@ class GaussianPerturber:
                 # value still counts as "kept" in the binary representation.
                 B[rows, j] = (draws == x[j]).astype(float)
         return Z, B
-
-
-class MaskingSampler(CoalitionEngine):
-    """Coalition sampler for SHAP-style explainers.
-
-    Given a binary coalition vector ``z`` (1 = feature present, i.e. fixed
-    to the explained instance), produces raw rows in which absent features
-    are imputed from a background sample — the *interventional* value
-    function of Kernel SHAP.
-
-    Since the coalition-engine rewrite this class *is* a
-    :class:`repro.core.coalition_engine.CoalitionEngine`: ``expand`` is a
-    single ``np.where`` broadcast (block layout unchanged), and
-    ``value_function`` deduplicates repeated masks through a packed-bit
-    value cache and evaluates in memory-bounded chunks. The historical
-    loop-based path survives as ``legacy_value_function`` for the E37
-    old-vs-new benchmark.
-    """
-

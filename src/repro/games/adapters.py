@@ -10,7 +10,7 @@ uniformly:
 Adapter                  Players / value of a coalition S
 =======================  ====================================================
 FeatureMaskingGame       features / E_b[f(x_S, b_{N∖S})] over a background
-                         sample (kernel, sampling, QII and conditional SHAP)
+                         sample (kernel, sampling and exact SHAP)
 DataValueGame            training points / validation score of a model
                          retrained on S (Data, Beta, distributional Shapley)
 TupleProvenanceGame      endogenous tuples / query answer on S plus the
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.coalition_engine import CoalitionEngine
+from ..core.coalition_engine import CoalitionEngine, broadcast_expand
 from ..models.metrics import accuracy
 from ..persist.protocol import register_serializable
 from .base import BaseGame
@@ -55,28 +55,29 @@ __all__ = [
 class FeatureMaskingGame(BaseGame):
     """Features vs. the interventional masking value function.
 
-    Thin, deliberately: coalition evaluation delegates to
-    :meth:`repro.core.coalition_engine.CoalitionEngine.value_function`,
-    which already owns broadcast masking, chunking, the packed-bit cache
-    and span telemetry — so the game is ``self_evaluating`` and the
-    games evaluator passes it through untouched (wrapping it again would
-    double-count cache counters).
+    ``value`` computes only its own rows: broadcast-expand each
+    coalition against the engine's background, predict, and average
+    each coalition's block. Caching, chunking and chunk retries come
+    from :func:`repro.games.engine.game_value_function`, which reads the
+    game's ``cache`` store (built by
+    :meth:`~repro.core.coalition_engine.CoalitionEngine.new_store`) and
+    the engine's ``max_batch_rows`` / ``chunk_retries`` off the game —
+    so every evaluator built over one game shares one store.
 
     Transport: ``__getstate__`` reduces the game to its rebuild recipe —
     the underlying *model* (via the predict function's
     ``__repro_spec__``), the instance, the already-subsampled background
     and the engine knobs. ``__setstate__`` re-normalizes the model and
-    rebuilds the engine and value function, so a spawn worker (or a
-    persisted copy) gets an equivalent game whose fresh, empty cache is
-    rebuilt lazily — values are deterministic, so worker evaluations are
-    bitwise-identical and new cache entries ship back as deltas. A raw
-    predict callable without a spec rides along as-is; if it cannot
-    pickle, the spawn backend degrades to threads.
+    rebuilds the engine, so a spawn worker (or a persisted copy) gets an
+    equivalent game with a fresh, empty store — values are
+    deterministic, so worker evaluations are bitwise-identical and new
+    cache entries ship back as deltas. A raw predict callable without a
+    spec rides along as-is; if it cannot pickle, the spawn backend
+    degrades to threads.
     """
 
     deterministic = True
     guarded = True
-    self_evaluating = True
 
     def __init__(
         self,
@@ -102,16 +103,16 @@ class FeatureMaskingGame(BaseGame):
         self.x = np.asarray(x, dtype=float).ravel()
         self.n_players = self.x.shape[0]
         self.rows_per_coalition = engine.n_background
+        self.max_batch_rows = engine.max_batch_rows
+        self.chunk_retries = engine.chunk_retries
         self._predict_fn = predict_fn
         self._cache_flag = cache
-        self._v = engine.value_function(predict_fn, self.x, cache=cache)
-
-    @property
-    def cache(self):
-        return self._v.cache
+        self.cache = engine.new_store(self.x, cache)
 
     def value(self, coalitions: np.ndarray) -> np.ndarray:
-        return self._v(coalitions)
+        rows = broadcast_expand(self.x, coalitions, self.engine.background)
+        preds = np.asarray(self._predict_fn(rows), dtype=float).ravel()
+        return preds.reshape(-1, self.rows_per_coalition).mean(axis=1)
 
     def __getstate__(self) -> dict:
         spec = getattr(self._predict_fn, "__repro_spec__", None)

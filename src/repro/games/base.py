@@ -73,15 +73,17 @@ class BaseGame:
         failures — pure-Python games (utility refits, relational
         queries) get PR 3's fault tolerance that way.
     self_evaluating:
-        ``True`` when ``value`` already *is* a fully engineered value
-        function (cached, chunked, span-instrumented) that must not be
-        wrapped again — the feature-masking game delegates to
-        :meth:`repro.core.coalition_engine.CoalitionEngine.value_function`
-        and would otherwise double-count cache telemetry.
+        ``True`` only for :class:`FunctionGame`: a bare value function
+        is evaluated as-is, never wrapped in the shared evaluator's
+        cache, chunk loop or span. Every real game leaves it ``False``
+        and has ``value`` compute only its own rows.
     rows_per_coalition:
         How many model/utility rows one coalition evaluation costs; the
         evaluator divides ``max_batch_rows`` by it to pick chunk sizes
         and charges ``rows_per_coalition`` budget rows per coalition.
+        A game may also carry ``max_batch_rows`` / ``chunk_retries``
+        (and a ``cache`` store it owns), which the evaluator uses when
+        the caller passes none.
     shardable:
         ``True`` when independent slices of the work (permutation walks,
         coalition-matrix rows) may be evaluated by separate workers —

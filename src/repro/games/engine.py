@@ -1,10 +1,10 @@
 """One evaluation pipeline for every cooperative game.
 
 :func:`game_value_function` turns any :class:`repro.games.base.Game`
-into a batched ``v(coalitions)`` callable that runs through the same
-machinery the coalition engine gave feature attribution in PR 2 and the
-guarded runtime gave it in PR 3 — now uniformly for data valuation,
-tuple provenance and causal games too:
+into a batched ``v(coalitions)`` callable. It is the one place that
+dedupes, chunks, retries and meters coalition evaluations — for feature
+masking, k-NN conditioning, data valuation, tuple provenance and causal
+games alike; each game's ``value`` computes only its own rows:
 
 * **packed-bit value caching** via
   :class:`repro.core.coalition_engine.CoalitionValueCache` (counters
@@ -22,8 +22,7 @@ tuple provenance and causal games too:
   capped-exponential retry of ``TRANSIENT_DEFAULT`` failures
   (``robust.retries``), and any chunk that still dies with
   :class:`~repro.robust.ModelEvaluationError` is retried whole
-  (``robust.chunk_retries``), mirroring
-  :meth:`CoalitionEngine._evaluate`;
+  (``robust.chunk_retries``);
 * **span telemetry**: every call opens a ``coalition_eval`` span
   carrying the game class, chunk geometry and cache hit/miss counts.
 
@@ -37,10 +36,11 @@ The amortized ``explain_batch`` path (PR 7) evaluates a shared
 :class:`repro.games.plan.CoalitionPlan` instead of re-sampling per row:
 masking-family explainers go through
 :meth:`repro.core.coalition_engine.CoalitionEngine.batch_value_matrix`
-(one fused ``batch × coalitions`` grid), and game-shaped value
-functions without an engine go through :func:`amortized_plan_values`
-here — one ``coalition_eval`` span per row covering every unique mask
-the whole walk schedule visits.
+(one fused ``batch × coalitions`` grid, evaluated here as a
+position-keyed game), and game-shaped value functions without an
+engine go through :func:`amortized_plan_values` — one
+``coalition_eval`` span per row covering every unique mask the whole
+walk schedule visits.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
     """One chunk through the game, with budgets, retries and charging."""
     n_rows = masks.shape[0] * rows_per
     scope = None if guarded else current_scope()
-    retries = resolve_retries()
-    backoff = resolve_backoff()
-    cfg = GuardConfig()
+    retries = None
     failures = 0
     attempts = 0
     while True:
@@ -130,6 +128,10 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
             if guarded:
                 raise
             failures += 1
+            if retries is None:
+                # Read only once something failed: the clean path runs
+                # once per chunk and must not pay for the env lookups.
+                retries, backoff = resolve_retries(), resolve_backoff()
             if failures > retries:
                 raise ModelEvaluationError(
                     f"game evaluation failed after {failures} attempts "
@@ -137,7 +139,7 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                     attempts=failures,
                 ) from e
             _note_retry(scope)
-            _backoff_sleep(cfg, backoff, failures, scope)
+            _backoff_sleep(GuardConfig(), backoff, failures, scope)
     if vals.shape[0] != masks.shape[0]:
         raise ModelEvaluationError(
             f"{type(game).__name__}.value returned {vals.shape[0]} values "
@@ -148,79 +150,50 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
     return vals
 
 
-def game_value_function(
-    game,
-    n_players: int | None = None,
-    cache: bool | None = None,
-    max_batch_rows: int | None = None,
-    chunk_retries: int = DEFAULT_CHUNK_RETRIES,
-):
-    """The game's ``v(coalitions)`` with caching/chunking/budgets applied.
+class _GameValueFunction:
+    """The ``v(coalitions, positions=None)`` that :func:`game_value_function`
+    returns. A class rather than a closure so the spawn backend can
+    pickle it together with its game."""
 
-    ``cache=None`` defers to the game's ``deterministic`` flag (and the
-    global ``REPRO_COALITION_CACHE`` kill switch); passing ``True`` for
-    a non-deterministic game is the caller asserting determinism the
-    adapter could not, and passing a
-    :class:`~repro.core.coalition_engine.CoalitionValueCache` *instance*
-    shares that store across value functions — the exec backend uses
-    this to seed workers with the parent's cache and merge worker stores
-    back. Self-evaluating games (the feature-masking adapter, bare
-    callables wrapped by :func:`~repro.games.base.as_game`) are returned
-    as-is — their value path is already engineered and wrapping it again
-    would double-count telemetry.
+    def __init__(self, game, store, max_batch_rows, chunk_retries) -> None:
+        self.game = game
+        self.cache = store
+        self._guarded = getattr(game, "guarded", False)
+        self._rows_per = max(1, int(getattr(game, "rows_per_coalition", 1)))
+        self._per_chunk = max(
+            1, resolve_max_batch_rows(max_batch_rows) // self._rows_per
+        )
+        self._chunk_retries = max(0, int(chunk_retries))
+        self._positional = hasattr(game, "value_at")
 
-    The returned ``v(coalitions, positions=None)`` accepts optional
-    explicit *positions* for position-seeded games (``value_at``): by
-    default each batch row's own index is its position, but a sharded
-    caller evaluating a slice of a larger coalition matrix passes the
-    rows' **global** indices so the position-keyed seeding (and the
-    ``(row, mask)`` cache keys) match what the unsharded batch would
-    have drawn.
-    """
-    game = as_game(game, n_players)
-    if getattr(game, "self_evaluating", False):
-        return game.value
-    deterministic = getattr(game, "deterministic", False)
-    guarded = getattr(game, "guarded", False)
-    rows_per = max(1, int(getattr(game, "rows_per_coalition", 1)))
-    if isinstance(cache, CoalitionValueCache):
-        store = cache if resolve_cache(True) else None
-    else:
-        use_cache = resolve_cache(deterministic if cache is None else cache)
-        store = CoalitionValueCache() if use_cache else None
-    positional = hasattr(game, "value_at")
-    per_chunk = max(1, resolve_max_batch_rows(max_batch_rows) // rows_per)
-    game_name = type(game).__name__
-    chunk_retries = max(0, int(chunk_retries))
-
-    def _evaluate(
-        indices: np.ndarray, coalitions: np.ndarray, pos: np.ndarray | None, sp
-    ) -> np.ndarray:
-        out = np.empty(indices.shape[0], dtype=float)
+    def _evaluate(self, coalitions: np.ndarray, pos: np.ndarray | None, sp
+                  ) -> np.ndarray:
+        """Every row of ``coalitions``, in chunks of ``_per_chunk``."""
+        n_c = coalitions.shape[0]
+        per_chunk = self._per_chunk
+        out = np.empty(n_c, dtype=float)
         n_chunks = 0
-        for start in range(0, indices.shape[0], per_chunk):
-            sel = indices[start : start + per_chunk]
+        for start in range(0, n_c, per_chunk):
+            stop = min(start + per_chunk, n_c)
             with metrics.observe_duration("coalition.chunk_ms"):
-                out[start : start + sel.shape[0]] = _evaluate_chunk(
-                    game,
-                    pos[sel] if positional else None,
-                    coalitions[sel],
-                    guarded,
-                    rows_per,
-                    chunk_retries,
+                out[start:stop] = _evaluate_chunk(
+                    self.game,
+                    None if pos is None else pos[start:stop],
+                    coalitions[start:stop],
+                    self._guarded,
+                    self._rows_per,
+                    self._chunk_retries,
                 )
             n_chunks += 1
-        sp.set_attr("chunk_coalitions", per_chunk)
-        sp.set_attr("chunk_rows", per_chunk * rows_per)
         sp.set_attr("n_chunks", n_chunks)
         return out
 
-    def v(coalitions: np.ndarray, positions: np.ndarray | None = None
-          ) -> np.ndarray:
+    def __call__(self, coalitions: np.ndarray,
+                 positions: np.ndarray | None = None) -> np.ndarray:
         coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
         n_c = coalitions.shape[0]
         pos = None
-        if positional:
+        if self._positional:
             pos = (
                 np.arange(n_c)
                 if positions is None
@@ -231,27 +204,32 @@ def game_value_function(
                     f"positions has {pos.shape[0]} entries for "
                     f"{n_c} coalitions"
                 )
-        with span("coalition_eval", n_coalitions=n_c, game=game_name) as sp:
+        store = self.cache
+        with span("coalition_eval", n_coalitions=n_c,
+                  game=type(self.game).__name__,
+                  chunk_coalitions=self._per_chunk,
+                  chunk_rows=self._per_chunk * self._rows_per,
+                  n_chunks=0) as sp:
             if store is None:
-                out = _evaluate(np.arange(n_c), coalitions, pos, sp)
+                out = self._evaluate(coalitions, pos, sp)
                 sp.set_attr("cache_hits", 0)
                 sp.set_attr("cache_misses", n_c)
                 return out
             keys = np.packbits(coalitions, axis=1)
-            out = np.empty(n_c, dtype=float)
-            fresh_rows: list[int] = []
-            followers: dict[bytes, list[int]] = {}
-            hits = 0
-            for i in range(n_c):
+            if pos is not None:
                 # Position-seeded games key the cache by (position, mask):
                 # the same mask at a different walk position draws
                 # different samples and must not collide. The position is
                 # global (== the batch row unless the caller overrode it).
-                key = (
-                    int(pos[i]).to_bytes(4, "little") + keys[i].tobytes()
-                    if positional
-                    else keys[i].tobytes()
-                )
+                keys = [int(p).to_bytes(4, "little") + k.tobytes()
+                        for p, k in zip(pos, keys)]
+            else:
+                keys = [k.tobytes() for k in keys]
+            out = np.empty(n_c, dtype=float)
+            fresh_rows: list[int] = []
+            followers: dict[bytes, list[int]] = {}
+            hits = 0
+            for i, key in enumerate(keys):
                 known = store.values.get(key)
                 if known is not None:
                     out[i] = known
@@ -264,15 +242,13 @@ def game_value_function(
                     fresh_rows.append(i)
             if fresh_rows:
                 idx = np.asarray(fresh_rows)
-                vals = _evaluate(idx, coalitions, pos, sp)
+                vals = self._evaluate(
+                    coalitions[idx], None if pos is None else pos[idx], sp
+                )
                 # Commit only after the whole evaluation succeeded, so a
                 # failed chunk can never leave corrupt values behind.
                 for j, i0 in enumerate(fresh_rows):
-                    key = (
-                        int(pos[i0]).to_bytes(4, "little") + keys[i0].tobytes()
-                        if positional
-                        else keys[i0].tobytes()
-                    )
+                    key = keys[i0]
                     store.values[key] = vals[j]
                     for i in followers[key]:
                         out[i] = vals[j]
@@ -281,6 +257,54 @@ def game_value_function(
             sp.set_attr("cache_misses", len(fresh_rows))
             return out
 
-    v.cache = store
-    v.game = game
-    return v
+
+def game_value_function(
+    game,
+    n_players: int | None = None,
+    cache: bool | None = None,
+    max_batch_rows: int | None = None,
+    chunk_retries: int | None = None,
+):
+    """The game's ``v(coalitions)`` with caching/chunking/budgets applied.
+
+    ``cache=None`` defers to the game's ``deterministic`` flag (and the
+    global ``REPRO_COALITION_CACHE`` kill switch); passing ``True`` for
+    a non-deterministic game is the caller asserting determinism the
+    adapter could not, and passing a
+    :class:`~repro.core.coalition_engine.CoalitionValueCache` *instance*
+    shares that store across value functions — the exec backend uses
+    this to seed workers with the parent's cache and merge worker stores
+    back. Self-evaluating games (bare callables wrapped by
+    :func:`~repro.games.base.as_game`) are returned as-is.
+
+    A game may carry its own evaluation settings, which explicit
+    arguments override: a ``cache`` store it owns (``None`` when its
+    caching is off), ``max_batch_rows`` and ``chunk_retries``.
+    :class:`~repro.games.adapters.FeatureMaskingGame` carries its
+    engine's, so every evaluator built over one masking game shares one
+    store and one chunk geometry.
+
+    The returned ``v(coalitions, positions=None)`` accepts optional
+    explicit *positions* for position-seeded games (``value_at``): by
+    default each batch row's own index is its position, but a sharded
+    caller evaluating a slice of a larger coalition matrix passes the
+    rows' **global** indices so the position-keyed seeding (and the
+    ``(row, mask)`` cache keys) match what the unsharded batch would
+    have drawn.
+    """
+    game = as_game(game, n_players)
+    if getattr(game, "self_evaluating", False):
+        return game.value
+    if cache is None and hasattr(game, "cache"):
+        cache = False if game.cache is None else game.cache
+    if isinstance(cache, CoalitionValueCache):
+        store = cache if resolve_cache(True) else None
+    else:
+        deterministic = getattr(game, "deterministic", False)
+        use_cache = resolve_cache(deterministic if cache is None else cache)
+        store = CoalitionValueCache() if use_cache else None
+    if max_batch_rows is None:
+        max_batch_rows = getattr(game, "max_batch_rows", None)
+    if chunk_retries is None:
+        chunk_retries = getattr(game, "chunk_retries", DEFAULT_CHUNK_RETRIES)
+    return _GameValueFunction(game, store, max_batch_rows, chunk_retries)

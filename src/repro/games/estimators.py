@@ -106,15 +106,11 @@ def _mergeable_state(value_fn, game):
     """``(store, stateful)``: the runtime state workers must ship back.
 
     ``store`` is the packed-bit coalition cache behind the value
-    function (either the games-evaluator store or a self-evaluating
-    adapter's engine cache); ``stateful`` flags games exposing the
+    function; ``stateful`` flags games exposing the
     ``export_shard_state``/``merge_shard_state`` pair (the data-value
     utility memo and its counters).
     """
-    store = getattr(value_fn, "cache", None)
-    if store is None:
-        store = getattr(game, "cache", None)
-    return store, hasattr(game, "export_shard_state")
+    return getattr(value_fn, "cache", None), hasattr(game, "export_shard_state")
 
 
 def _capture_worker_state(payload, store, baseline_keys, game, stateful):
@@ -150,13 +146,13 @@ class _MatrixShardRunner:
 
     A module-level class (not a closure) so the spawn backend can pickle
     it: the game travels via its own ``__getstate__`` recipe and the
-    value function — a bound method on the *same* game for
-    self-evaluating adapters — rides the pickle memo, so the worker
-    rebuilds exactly one game. The mergeable store is re-derived from
-    the live objects inside :meth:`__call__`, never captured at
-    construction: under spawn the rebuilt game's fresh cache is the one
-    worker mutations must land on for the ``cache_new`` delta to ship
-    back (a parent-side store reference would be an orphaned copy).
+    value function — the evaluator holding the *same* game — rides the
+    pickle memo, so the worker rebuilds exactly one game. The mergeable
+    store is re-derived from the live objects inside :meth:`__call__`,
+    never captured at construction: under spawn the unpickled
+    evaluator's store is the one worker mutations land on, and the
+    ``cache_new`` delta against it is what ships back (a parent-side
+    store reference would be an orphaned copy).
     """
 
     def __init__(self, value_fn, game, masks, positional):
@@ -206,9 +202,7 @@ def _sharded_values(
     )
     if plan.n_shards < 2:
         return np.asarray(value_fn(masks), dtype=float)
-    positional = hasattr(game, "value_at") and not getattr(
-        game, "self_evaluating", False
-    )
+    positional = hasattr(game, "value_at")
     store, stateful = _mergeable_state(value_fn, game)
     state_before = game.export_shard_state() if stateful else None
     run_shard = _MatrixShardRunner(value_fn, game, masks, positional)
@@ -685,10 +679,10 @@ class _WalkShardRunner:
 
     Module-level for the same reason as :class:`_MatrixShardRunner` —
     the spawn backend pickles the runner, rebuilding the game (and the
-    bound value function on it) in a fresh worker. All permutations are
+    evaluator over it) in a fresh worker. All permutations are
     pre-drawn parent-side and ship as data; the mergeable store is
     re-derived from the live objects inside :meth:`__call__` so worker
-    cache mutations land on the rebuilt cache that ships back.
+    cache mutations land on the unpickled store that ships back.
     """
 
     def __init__(self, value_fn, game, perms, skip_batches, mid_walks,

@@ -16,8 +16,8 @@ values. A snapshot saved with ``scope=None`` is an explicit wildcard
 workload).
 
 ``REPRO_CACHE_SNAPSHOT=<path>`` points the engine at a snapshot file;
-:meth:`CoalitionEngine.value_function` calls :func:`maybe_prewarm` on
-each fresh cache. Hits land on the ``persist.cache.prewarmed`` counter.
+:meth:`CoalitionEngine.new_store` calls :func:`maybe_prewarm` on each
+fresh cache. Hits land on the ``persist.cache.prewarmed`` counter.
 """
 
 from __future__ import annotations

@@ -20,14 +20,77 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.base import AttributionExplainer
-from ..core.coalition_engine import CoalitionValueCache, batched_predict
+from ..core.coalition_engine import batched_predict
 from ..core.explanation import FeatureAttribution
-from ..games.engine import amortized_plan_values
+from ..games.base import BaseGame
+from ..games.engine import amortized_plan_values, game_value_function
 from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
 from ..robust.guard import check_instance
 from .sampling import permutation_shapley
 
-__all__ = ["empirical_conditional_value_function", "ConditionalShapExplainer"]
+__all__ = [
+    "EmpiricalConditionalGame",
+    "empirical_conditional_value_function",
+    "ConditionalShapExplainer",
+]
+
+
+class EmpiricalConditionalGame(BaseGame):
+    """Features vs. v(S) = Ê[f(X) | X_S = x_S] by k-NN conditioning.
+
+    For the empty coalition this is the plain mean prediction over
+    ``data``; for the full coalition it is exactly f(x). Every other
+    coalition averages f over its k nearest rows *in the conditioned
+    coordinates*, with those coordinates pinned to x; ``value`` stacks
+    the neighbor blocks of all its coalitions into one model call.
+
+    Deterministic in the mask (stable-sorted neighbor selection, no
+    sampling), so the shared evaluator may cache it.
+    """
+
+    deterministic = True
+    guarded = True
+
+    def __init__(self, predict_fn, data: np.ndarray, x: np.ndarray,
+                 k: int = 30, max_batch_rows: int | None = None) -> None:
+        self.predict_fn = predict_fn
+        self.data = np.atleast_2d(np.asarray(data, dtype=float))
+        self.x = np.asarray(x, dtype=float).ravel()
+        self.n_players = self.x.shape[0]
+        self.scale = np.maximum(self.data.std(axis=0), 1e-12)
+        self.k = min(k, self.data.shape[0])
+        self.rows_per_coalition = self.k
+        self.max_batch_rows = max_batch_rows
+
+    def _neighbor_rows(self, mask: np.ndarray) -> np.ndarray:
+        deltas = (self.data[:, mask] - self.x[mask]) / self.scale[mask]
+        distances = np.sqrt((deltas ** 2).sum(axis=1))
+        neighbors = np.argsort(distances, kind="stable")[: self.k]
+        rows = self.data[neighbors].copy()
+        rows[:, mask] = self.x[mask]
+        return rows
+
+    def value(self, masks: np.ndarray) -> np.ndarray:
+        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+        out = np.empty(masks.shape[0])
+        blocks: list[np.ndarray] = []
+        targets: list[int] = []
+        for row, mask in enumerate(masks):
+            if not mask.any():
+                out[row] = float(np.mean(batched_predict(
+                    self.predict_fn, self.data, self.max_batch_rows
+                )))
+            elif mask.all():
+                out[row] = float(self.predict_fn(self.x[None, :])[0])
+            else:
+                blocks.append(self._neighbor_rows(mask))
+                targets.append(row)
+        if blocks:
+            preds = np.asarray(
+                self.predict_fn(np.concatenate(blocks)), dtype=float
+            ).ravel()
+            out[targets] = preds.reshape(len(blocks), self.k).mean(axis=1)
+        return out
 
 
 def empirical_conditional_value_function(
@@ -38,92 +101,18 @@ def empirical_conditional_value_function(
     cache: bool = True,
     max_batch_rows: int | None = None,
 ):
-    """Batched v(S) = Ê[f(X) | X_S = x_S] by k-NN conditioning on ``data``.
+    """Batched v(S) of the :class:`EmpiricalConditionalGame`.
 
-    For the empty coalition this is the plain mean prediction; for the
-    full coalition it is exactly f(x).
-
-    The estimator is deterministic in the mask (stable-sorted neighbor
-    selection, no sampling), so repeated masks are served from a
-    packed-bit coalition-value cache by default — permutation walks
-    re-visit the same prefixes constantly. Fresh masks have their k
-    neighbor rows stacked into one memory-bounded model call. Pass
-    ``cache=False`` for a stochastic variant of this value function.
+    Permutation walks re-visit the same prefixes constantly, so repeated
+    masks are served from a packed-bit coalition-value cache by default
+    (``v.cache``; ``None`` under ``cache=False`` or
+    ``REPRO_COALITION_CACHE=0``). Fresh masks are evaluated in
+    memory-bounded chunks of ``max_batch_rows`` rows.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    scale = np.maximum(data.std(axis=0), 1e-12)
-    k = min(k, data.shape[0])
-    store = CoalitionValueCache() if cache else None
-
-    def _neighbor_rows(mask: np.ndarray) -> np.ndarray:
-        deltas = (data[:, mask] - x[mask]) / scale[mask]
-        distances = np.sqrt((deltas ** 2).sum(axis=1))
-        neighbors = np.argsort(distances, kind="stable")[:k]
-        rows = data[neighbors].copy()
-        rows[:, mask] = x[mask]
-        return rows
-
-    def v(masks: np.ndarray) -> np.ndarray:
-        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        n_m = masks.shape[0]
-        keys = np.packbits(masks, axis=1)
-        out = np.zeros(n_m)
-        blocks: list[np.ndarray] = []
-        # Rows each pending block must fill: a shared (mutable) follower
-        # list in cached mode so intra-call duplicates ride along, a
-        # singleton per occurrence when caching is off.
-        block_targets: list[list[int]] = []
-        block_keys: list[bytes] = []
-        followers: dict[bytes, list[int]] = {}
-        hits = 0
-        for row, mask in enumerate(masks):
-            key = keys[row].tobytes()
-            if store is not None:
-                known = store.values.get(key)
-                if known is not None:
-                    out[row] = known
-                    hits += 1
-                    continue
-                if key in followers:
-                    followers[key].append(row)
-                    hits += 1
-                    continue
-            targets = [row]
-            if store is not None:
-                followers[key] = targets
-            if not mask.any():
-                value = float(
-                    np.mean(batched_predict(predict_fn, data, max_batch_rows))
-                )
-                out[row] = value
-                if store is not None:
-                    store.values[key] = value
-                continue
-            if mask.all():
-                value = float(predict_fn(x[None, :])[0])
-                out[row] = value
-                if store is not None:
-                    store.values[key] = value
-                continue
-            blocks.append(_neighbor_rows(mask))
-            block_targets.append(targets)
-            block_keys.append(key)
-        if blocks:
-            preds = batched_predict(
-                predict_fn, np.concatenate(blocks), max_batch_rows
-            )
-            means = preds.reshape(len(blocks), k).mean(axis=1)
-            for targets, key, value in zip(block_targets, block_keys, means):
-                out[targets] = float(value)
-                if store is not None:
-                    store.values[key] = float(value)
-        if store is not None:
-            store.record(hits, n_m - hits)
-        return out
-
-    v.cache = store
-    return v
+    game = EmpiricalConditionalGame(
+        predict_fn, data, x, k=k, max_batch_rows=max_batch_rows
+    )
+    return game_value_function(game, cache=cache)
 
 
 class ConditionalShapExplainer(AttributionExplainer):
@@ -192,8 +181,8 @@ class ConditionalShapExplainer(AttributionExplainer):
 
         v(∅) is the mean prediction over the reference sample — the
         same number for every row — so it is computed once here and
-        seeded into each row's value cache instead of re-averaging the
-        whole dataset per row.
+        seeded into each row's value cache (when caching is on) instead
+        of re-averaging the whole dataset per row.
         """
         n = X.shape[1]
         key = ("permutation", n, self.n_permutations, True, self.seed)
@@ -238,7 +227,8 @@ class ConditionalShapExplainer(AttributionExplainer):
                 self.predict_fn, self.data, x, k=self.k,
                 max_batch_rows=self.max_batch_rows,
             )
-            v.cache.values[empty_key] = empty_value
+            if v.cache is not None:
+                v.cache.values[empty_key] = empty_value
             prediction = float(self.predict_fn(x[None, :])[0])
             vals = amortized_plan_values(v, plan)
             walk_values = vals[plan.value_index]

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.base import AttributionExplainer, as_predict_fn
 from ..core.explanation import FeatureAttribution
-from ..core.sampling import MaskingSampler
+from ..core.coalition_engine import CoalitionEngine
 from ..games.estimators import all_coalitions, exact_enumeration
 
 __all__ = ["exact_shapley", "all_coalitions", "ExactShapleyExplainer"]
@@ -81,7 +81,7 @@ class ExactShapleyExplainer(AttributionExplainer):
     def __init__(self, model, background: np.ndarray,
                  max_background: int = 100, output: str = "auto") -> None:
         super().__init__(model, output)
-        self.sampler = MaskingSampler(background, max_background=max_background)
+        self.sampler = CoalitionEngine(background, max_background=max_background)
         self.feature_names: list[str] | None = None
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
-from ..core.sampling import MaskingSampler
+from ..core.coalition_engine import CoalitionEngine
 from .exact import all_coalitions, exact_shapley
 
 __all__ = ["shapley_interaction_values", "InteractionExplainer"]
@@ -92,7 +92,7 @@ class InteractionExplainer(AttributionExplainer):
     def __init__(self, model, background: np.ndarray,
                  max_background: int = 100, output: str = "auto") -> None:
         super().__init__(model, output)
-        self.sampler = MaskingSampler(background, max_background=max_background)
+        self.sampler = CoalitionEngine(background, max_background=max_background)
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
-from ..core.sampling import MaskingSampler
+from ..core.coalition_engine import CoalitionEngine
 from ..games.adapters import FeatureMaskingGame
 from ..games.estimators import (
     kernel_wls_estimator,
@@ -72,10 +72,6 @@ class KernelShapExplainer(AttributionExplainer):
         Coalition evaluation budget per explanation.
     max_batch_rows:
         Memory bound on rows per model call (see the coalition engine).
-    engine:
-        ``True`` (default) evaluates coalitions through the vectorized,
-        cached coalition engine; ``False`` keeps the pre-engine loop path
-        (used by E37 for the old-vs-new comparison).
     """
 
     method_name = "kernel_shap"
@@ -89,18 +85,16 @@ class KernelShapExplainer(AttributionExplainer):
         output: str = "auto",
         seed: int = 0,
         max_batch_rows: int | None = None,
-        engine: bool = True,
         guard=None,
         backend: str | None = None,
         n_procs: int | None = None,
     ) -> None:
         super().__init__(model, output, guard=guard)
-        self.sampler = MaskingSampler(
+        self.sampler = CoalitionEngine(
             background, max_background=max_background, max_batch_rows=max_batch_rows
         )
         self.n_samples = n_samples
         self.seed = seed
-        self.engine = engine
         self.backend = backend
         self.n_procs = n_procs
 
@@ -108,22 +102,12 @@ class KernelShapExplainer(AttributionExplainer):
                 ) -> FeatureAttribution:
         x = check_instance(x, self.sampler.background.shape[1])
         n = x.shape[0]
-        # Engine path: hand the game object to the estimator so the exec
-        # backend can read its shardability; it evaluates through the
-        # exact same engine value function as the bare callable did.
-        game = (
-            FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-            if self.engine
-            else None
-        )
-        v = (
-            game.value
-            if game is not None
-            else self.sampler.legacy_value_function(self.predict_fn, x)
-        )
+        # Hand the game object to the estimator so the exec backend can
+        # read its shardability.
+        game = FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
         prediction = float(self.predict_fn(x[None, :])[0])
         phi, base = kernel_shap(
-            game if game is not None else v, n,
+            game, n,
             n_samples=self.n_samples, seed=self.seed,
             backend=self.backend, n_procs=self.n_procs,
         )
@@ -140,10 +124,9 @@ class KernelShapExplainer(AttributionExplainer):
     # -- amortized batch path (shared coalition plan) ----------------------
 
     def _amortized_supported(self) -> bool:
-        # n == 1 takes the estimator's closed-form two-point shortcut,
-        # and the legacy (engine-off) path predates the cache semantics
-        # the plan mirrors — both stay per-row.
-        return bool(self.engine) and self.sampler.background.shape[1] > 1
+        # n == 1 takes the estimator's closed-form two-point shortcut;
+        # it stays per-row.
+        return self.sampler.background.shape[1] > 1
 
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """One shared Kernel SHAP design per (n, budget, seed)."""

@@ -33,8 +33,9 @@ import numpy as np
 
 from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
-from ..core.sampling import MaskingSampler
+from ..core.coalition_engine import CoalitionEngine
 from ..games.adapters import FeatureMaskingGame
+from ..games.engine import game_value_function
 from ..games.estimators import permutation_estimator
 from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
 from ..robust.errors import BudgetExceededError
@@ -139,12 +140,12 @@ def legacy_permutation_shapley(
 class SamplingShapleyExplainer(AttributionExplainer):
     """Model-agnostic sampled SHAP with the interventional value function.
 
-    Coalition evaluation runs through the shared coalition engine by
-    default (as a :class:`repro.games.FeatureMaskingGame`): permutation
-    walks re-visit many coalitions (every walk hits ∅ and N; antithetic
-    pairs and short prefixes collide constantly on small feature
-    counts), and the packed-bit value cache turns those repeats into
-    dictionary lookups instead of model queries.
+    Coalitions are evaluated as a :class:`repro.games.FeatureMaskingGame`
+    through the shared games evaluator: permutation walks re-visit many
+    coalitions (every walk hits ∅ and N; antithetic pairs and short
+    prefixes collide constantly on small feature counts), and the
+    packed-bit value cache turns those repeats into dictionary lookups
+    instead of model queries.
     """
 
     method_name = "sampling_shap"
@@ -159,19 +160,17 @@ class SamplingShapleyExplainer(AttributionExplainer):
         output: str = "auto",
         seed: int = 0,
         max_batch_rows: int | None = None,
-        engine: bool = True,
         guard=None,
         backend: str | None = None,
         n_procs: int | None = None,
     ) -> None:
         super().__init__(model, output, guard=guard)
-        self.sampler = MaskingSampler(
+        self.sampler = CoalitionEngine(
             background, max_background=max_background, max_batch_rows=max_batch_rows
         )
         self.n_permutations = n_permutations
         self.antithetic = antithetic
         self.seed = seed
-        self.engine = engine
         self.backend = backend
         self.n_procs = n_procs
 
@@ -179,26 +178,16 @@ class SamplingShapleyExplainer(AttributionExplainer):
                 ) -> FeatureAttribution:
         x = check_instance(x, self.sampler.background.shape[1])
         n = x.shape[0]
-        # The engine path hands the *game object* to the estimator (not
-        # its bound value method): the estimator resolves either to the
-        # identical value path, but only the game form carries the
-        # deterministic/shardable capabilities the exec backend gates on.
-        game = (
-            FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-            if self.engine
-            else None
-        )
-        v = (
-            game.value
-            if game is not None
-            else self.sampler.legacy_value_function(self.predict_fn, x)
-        )
+        # The estimator gets the *game object*: only it carries the
+        # deterministic/shardable capabilities the exec backend gates on,
+        # and every evaluator over it shares the game's value store.
+        game = FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
         # Prediction and base value come first: if the query budget runs
         # out mid-sampling, the partial estimate is still reportable.
         prediction = float(self.predict_fn(x[None, :])[0])
-        base = float(v(np.zeros((1, n), dtype=bool))[0])
+        base = float(game_value_function(game)(np.zeros((1, n), dtype=bool))[0])
         phi, std_err, convergence = permutation_shapley(
-            game if game is not None else v, n,
+            game, n,
             n_permutations=self.n_permutations,
             antithetic=self.antithetic,
             seed=self.seed,
@@ -218,11 +207,6 @@ class SamplingShapleyExplainer(AttributionExplainer):
         )
 
     # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_supported(self) -> bool:
-        # The legacy (engine-off) value path predates the coalition
-        # cache whose dedup semantics the plan mirrors; keep it per-row.
-        return bool(self.engine)
 
     def _amortized_context(self, X: np.ndarray, feature_names=None):
         """One shared permutation plan per (n, budget, seed) design."""

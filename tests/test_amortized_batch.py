@@ -85,7 +85,7 @@ def test_amortized_batch_bitwise_parity(family, backend, loan_data,
         for x in X
     ]
     batch = make_explainer(family, loan_logistic, loan_data).explain_batch(
-        X, backend=backend, n_jobs=2, n_procs=2
+        X, backend=backend, n_procs=2
     )
     assert len(batch) == N_ROWS
     for ref, att in zip(reference, batch):

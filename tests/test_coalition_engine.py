@@ -8,7 +8,9 @@ Covers the perf-engine contract end to end:
 * chunking bounds rows-per-call without changing results;
 * seeded attributions from kernel SHAP, sampling SHAP and QII are
   numerically identical between the legacy path and the engine path;
-* parallel ``explain_batch(n_jobs=2)`` matches serial output row-for-row
+* the masking, conditional and data-value value functions all obey the
+  ``REPRO_COALITION_CACHE=0`` switch and record the same span geometry;
+* thread-backend ``explain_batch`` matches serial output row-for-row
   and keeps span accounting intact.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import base as core_base
+from repro.core.base import as_predict_fn
 from repro.core.coalition_engine import (
     CoalitionEngine,
     batched_predict,
@@ -24,12 +26,15 @@ from repro.core.coalition_engine import (
     legacy_expand,
     resolve_max_batch_rows,
 )
-from repro.core.sampling import MaskingSampler
+from repro.games import DataValueGame, game_value_function
+from repro.robust import InputValidationError
 from repro.shapley import (
+    ConditionalShapExplainer,
     KernelShapExplainer,
     SamplingShapleyExplainer,
     shapley_qii,
 )
+from repro.shapley.kernel import kernel_shap
 from repro.shapley.qii import _resample_features
 from repro.shapley.sampling import permutation_shapley
 from repro.shapley.conditional import empirical_conditional_value_function
@@ -52,15 +57,6 @@ class TestExpansion:
             old = legacy_expand(x, coalitions, background)
             assert new.dtype == old.dtype
             assert np.array_equal(new, old)
-
-    def test_masking_sampler_is_engine_backed(self):
-        x, background, coalitions = _random_setup(3)
-        sampler = MaskingSampler(background, max_background=background.shape[0])
-        assert isinstance(sampler, CoalitionEngine)
-        assert np.array_equal(
-            sampler.expand(x, coalitions),
-            legacy_expand(x, coalitions, background),
-        )
 
     def test_single_coalition_vector(self):
         x, background, __ = _random_setup(1)
@@ -184,8 +180,11 @@ class TestChunking:
         monkeypatch.setenv("REPRO_MAX_BATCH_ROWS", "123")
         assert resolve_max_batch_rows() == 123
         assert resolve_max_batch_rows(7) == 7
-        monkeypatch.setenv("REPRO_MAX_BATCH_ROWS", "not-an-int")
-        assert resolve_max_batch_rows() == 65_536
+        for bad in ("not-an-int", "0", "-5"):
+            monkeypatch.setenv("REPRO_MAX_BATCH_ROWS", bad)
+            with pytest.raises(InputValidationError,
+                               match="REPRO_MAX_BATCH_ROWS"):
+                resolve_max_batch_rows()
 
 
 @pytest.fixture(scope="module")
@@ -200,23 +199,31 @@ class TestSeededParity:
 
     def test_kernel_shap_parity(self, loan_data, loan_model):
         x = loan_data.X[3]
-        kwargs = dict(n_samples=80, max_background=40, seed=5)
-        new = KernelShapExplainer(loan_model, loan_data.X, **kwargs).explain(x)
-        old = KernelShapExplainer(
-            loan_model, loan_data.X, engine=False, **kwargs
+        new = KernelShapExplainer(
+            loan_model, loan_data.X, n_samples=80, max_background=40, seed=5
         ).explain(x)
-        assert np.array_equal(new.values, old.values)
-        assert new.base_value == old.base_value
+        legacy_v = CoalitionEngine(
+            loan_data.X, max_background=40
+        ).legacy_value_function(as_predict_fn(loan_model), x)
+        old_phi, old_base = kernel_shap(legacy_v, x.shape[0], n_samples=80,
+                                        seed=5)
+        assert np.array_equal(new.values, old_phi)
+        assert new.base_value == old_base
 
     def test_sampling_shap_parity(self, loan_data, loan_model):
         x = loan_data.X[8]
-        kwargs = dict(n_permutations=12, max_background=30, seed=2)
-        new = SamplingShapleyExplainer(loan_model, loan_data.X, **kwargs).explain(x)
-        old = SamplingShapleyExplainer(
-            loan_model, loan_data.X, engine=False, **kwargs
+        new = SamplingShapleyExplainer(
+            loan_model, loan_data.X, n_permutations=12, max_background=30,
+            seed=2,
         ).explain(x)
-        assert np.array_equal(new.values, old.values)
-        assert new.base_value == old.base_value
+        legacy_v = CoalitionEngine(
+            loan_data.X, max_background=30
+        ).legacy_value_function(as_predict_fn(loan_model), x)
+        n = x.shape[0]
+        old_phi, __ = permutation_shapley(legacy_v, n, n_permutations=12,
+                                          seed=2)
+        assert np.array_equal(new.values, old_phi)
+        assert new.base_value == legacy_v(np.zeros((1, n), dtype=bool))[0]
 
     def test_qii_parity_with_pre_engine_loop(self, loan_data, loan_model):
         """New batched QII == a verbatim copy of the pre-engine value fn."""
@@ -310,24 +317,13 @@ class TestSeededParity:
 
 
 class TestParallelExplainBatch:
-    def test_resolve_n_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-        assert core_base.resolve_n_jobs() == 1
-        assert core_base.resolve_n_jobs(3) == 3
-        monkeypatch.setenv("REPRO_N_JOBS", "4")
-        assert core_base.resolve_n_jobs() == 4
-        assert core_base.resolve_n_jobs(2) == 2
-        monkeypatch.setenv("REPRO_N_JOBS", "junk")
-        assert core_base.resolve_n_jobs() == 1
-        assert core_base.resolve_n_jobs(-1) >= 1
-
     def test_parallel_matches_serial_row_for_row(self, loan_data, loan_model):
         X = loan_data.X[:6]
         explainer = KernelShapExplainer(
             loan_model, loan_data.X, n_samples=40, max_background=25, seed=0
         )
         serial = explainer.explain_batch(X)
-        parallel = explainer.explain_batch(X, n_jobs=2)
+        parallel = explainer.explain_batch(X, backend="thread", n_procs=2)
         assert len(serial) == len(parallel) == X.shape[0]
         for s, p in zip(serial, parallel):
             assert np.array_equal(s.values, p.values)
@@ -340,7 +336,8 @@ class TestParallelExplainBatch:
             loan_model, loan_data.X, n_permutations=6, max_background=20, seed=1
         )
         serial = explainer.explain_batch(X)
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_N_PROCS", "2")
         from_env = explainer.explain_batch(X)
         for s, p in zip(serial, from_env):
             assert np.array_equal(s.values, p.values)
@@ -350,7 +347,7 @@ class TestParallelExplainBatch:
         explainer = LimeTabularExplainer(loan_model, data, n_samples=80, seed=0)
         tracer = obs.get_tracer()
         mark = tracer.mark()
-        explainer.explain_batch(data.X[:4], n_jobs=2)
+        explainer.explain_batch(data.X[:4], backend="thread", n_procs=2)
         spans = tracer.spans_since(mark)
         batch = [s for s in spans if s.name == "explain_batch"]
         children = [s for s in spans if s.name == "explain"]
@@ -359,3 +356,101 @@ class TestParallelExplainBatch:
         assert all(c.parent_id == batch[0].span_id for c in children)
         assert batch[0].rows_evaluated == sum(c.rows_evaluated for c in children)
         assert batch[0].rows_evaluated > 0
+
+
+class _CountingUtility:
+    """A stand-in utility: U(S) = |S|, with every call's size recorded."""
+
+    n_points = 4
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, indices):
+        self.sizes.append(1)
+        return float(len(indices))
+
+
+def _value_fn(kind, max_batch_rows=None):
+    """``(v, sizes, rows_per_coalition)`` for one of the three value
+    functions; ``sizes`` records the row count of every model call."""
+    rng = np.random.default_rng(11)
+    d = 4
+    data = rng.normal(size=(40, d))
+    x = rng.normal(size=d)
+    sizes = []
+
+    def predict(X):
+        sizes.append(X.shape[0])
+        return np.cos(X).sum(axis=1)
+
+    if kind == "masking":
+        engine = CoalitionEngine(data[:5], max_batch_rows=max_batch_rows)
+        return engine.value_function(predict, x), sizes, 5
+    if kind == "conditional":
+        v = empirical_conditional_value_function(
+            predict, data, x, k=4, max_batch_rows=max_batch_rows
+        )
+        return v, sizes, 4
+    game = DataValueGame(_CountingUtility(sizes))
+    return game_value_function(game, max_batch_rows=max_batch_rows), sizes, 1
+
+
+# Partial masks only: the conditional game evaluates ∅ and N specially.
+_MASKS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1],
+                   [1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1],
+                   [1, 0, 1, 0]], dtype=bool)
+
+
+@pytest.mark.parametrize("kind", ["masking", "conditional", "datavalue"])
+class TestCacheSwitch:
+    """Every value function runs through the one games evaluator."""
+
+    def test_switch_disables_the_cache(self, kind, monkeypatch):
+        monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
+        v, sizes, rows_per = _value_fn(kind)
+        assert v.cache is None
+        masks = _MASKS[:3]  # row 2 duplicates row 0
+        v(masks)
+        assert sum(sizes) == 3 * rows_per
+        v(masks)
+        assert sum(sizes) == 6 * rows_per
+
+    def test_calls_record_chunked_spans(self, kind, monkeypatch):
+        monkeypatch.delenv("REPRO_COALITION_CACHE", raising=False)
+        max_batch_rows = 12
+        v, sizes, rows_per = _value_fn(kind, max_batch_rows)
+        assert v.cache is not None
+        tracer = obs.get_tracer()
+        for __ in range(2):
+            mark = tracer.mark()
+            v(_MASKS)
+            spans = [s for s in tracer.spans_since(mark)
+                     if s.name == "coalition_eval"]
+            assert len(spans) == 1
+            attrs = spans[0].attrs
+            for key in ("chunk_rows", "n_chunks", "cache_hits",
+                        "cache_misses"):
+                assert key in attrs
+            assert attrs["chunk_rows"] <= max_batch_rows
+            assert attrs["cache_hits"] + attrs["cache_misses"] == len(_MASKS)
+        assert attrs["cache_misses"] == 0  # the repeat call is all hits
+        assert sum(sizes) == 6 * rows_per  # one duplicate, evaluated once
+        assert max(sizes) <= max_batch_rows
+
+
+def test_conditional_amortized_batch_without_cache(loan_data, loan_model,
+                                                   monkeypatch):
+    """The fused conditional path seeds v(∅) only when a cache exists."""
+    monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
+    explainer = ConditionalShapExplainer(
+        loan_model, loan_data.X[:60], k=8, n_permutations=4, seed=5
+    )
+    X = loan_data.X[:3]
+    fallbacks = obs.counter("coalition.plan.fallbacks").value
+    batch = explainer.explain_batch(X)
+    assert obs.counter("coalition.plan.fallbacks").value == fallbacks
+    for x, att in zip(X, batch):
+        ref = explainer.explain(x)
+        assert np.array_equal(ref.values, att.values)
+        assert ref.base_value == att.base_value

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import FeatureSpec, GaussianPerturber, MaskingSampler, TabularDataset
+from repro.core import CoalitionEngine, FeatureSpec, GaussianPerturber, TabularDataset
 
 
 def mixed_data():
@@ -45,14 +45,16 @@ class TestGaussianPerturber:
 
 
 class TestMaskingSampler:
+    """The interventional masking sampler is the coalition engine."""
+
     def test_background_subsampled(self):
         background = np.arange(400).reshape(200, 2).astype(float)
-        sampler = MaskingSampler(background, max_background=50)
+        sampler = CoalitionEngine(background, max_background=50)
         assert sampler.n_background == 50
 
     def test_expand_layout(self):
         background = np.array([[0.0, 0.0], [1.0, 1.0]])
-        sampler = MaskingSampler(background)
+        sampler = CoalitionEngine(background)
         x = np.array([9.0, 8.0])
         coalitions = np.array([[True, False], [False, False]])
         rows = sampler.expand(x, coalitions)
@@ -65,7 +67,7 @@ class TestMaskingSampler:
 
     def test_value_function_endpoints(self):
         background = np.array([[0.0, 0.0], [2.0, 2.0]])
-        sampler = MaskingSampler(background)
+        sampler = CoalitionEngine(background)
         x = np.array([10.0, 10.0])
         v = sampler.value_function(lambda X: X.sum(axis=1), x)
         empty = v(np.array([[False, False]]))[0]

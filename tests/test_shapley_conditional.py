@@ -43,10 +43,10 @@ class TestConditionalValueFunction:
 
     def test_marginal_ignores_correlation(self, correlated_setup):
         X, model = correlated_setup
-        from repro.core.sampling import MaskingSampler
+        from repro.core.coalition_engine import CoalitionEngine
 
         x = np.array([0.0, 2.0])
-        sampler = MaskingSampler(X, max_background=100)
+        sampler = CoalitionEngine(X, max_background=100)
         v = sampler.value_function(model, x)
         marginal = v(np.array([[False, True]]))[0]
         assert abs(marginal) < 0.3  # feature 1 unused → no effect

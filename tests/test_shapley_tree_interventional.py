@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sampling import MaskingSampler
+from repro.core.coalition_engine import CoalitionEngine
 from repro.datasets import make_classification
 from repro.models import (
     DecisionTreeClassifier,
@@ -24,7 +24,7 @@ def data():
 
 
 def reference_values(model_fn, x, background, n):
-    sampler = MaskingSampler(background, max_background=background.shape[0])
+    sampler = CoalitionEngine(background, max_background=background.shape[0])
     return exact_shapley(sampler.value_function(model_fn, x), n)
 
 
