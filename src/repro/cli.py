@@ -39,7 +39,16 @@ import os
 import re
 import sys
 
+from .config import SETTINGS, setting
+from .robust.errors import InputValidationError
+
 __all__ = ["main"]
+
+# Table rows with a global flag; the others name a subcommand option
+# ("serve --port") that passes its value to the reader explicitly.
+_GLOBAL_FLAGS = tuple(
+    row for row in SETTINGS.values() if row.flag and row.flag.startswith("--")
+)
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)
@@ -185,7 +194,9 @@ def cmd_metrics(args) -> int:
     if args.metrics_command != "serve":
         print("usage: repro metrics serve [--port PORT]")
         return 2
-    host, port = obs.start_metrics_server(port=args.port)
+    host, port = obs.start_metrics_server(
+        port=setting("REPRO_METRICS_PORT", args.port) or 0
+    )
     print(f"serving /metrics, /health, /ledger/tail on http://{host}:{port}")
     print("press Ctrl-C to stop")
     try:
@@ -203,11 +214,13 @@ def cmd_serve(args) -> int:
     from .models import GradientBoostingClassifier
     from .serve import ExplainServer, ServeConfig
 
+    # Settings first: a bad REPRO_SERVE_* value fails before training.
+    server = ExplainServer(ServeConfig(),
+                           port=setting("REPRO_SERVE_PORT", args.port))
     data = make_loan_dataset(500, seed=0)
     model = GradientBoostingClassifier(
         n_estimators=25, max_depth=3, seed=0
     ).fit(data.X, data.y)
-    server = ExplainServer(ServeConfig(), port=args.port)
     server.add_endpoint(
         "loan", model, data.X[:100], feature_names=data.feature_names
     )
@@ -306,43 +319,19 @@ def main(argv: list[str] | None = None) -> int:
         help="export a JSONL span trace of the command and print the "
              "cost summary (same as the `trace` subcommand)",
     )
-    parser.add_argument(
-        "--retries", metavar="N", default=None, type=int,
-        help="transient model-failure retries per call "
-             "(sets REPRO_RETRIES for this run)",
-    )
-    parser.add_argument(
-        "--backoff", metavar="SECONDS", default=None, type=float,
-        help="base retry backoff, doubled per attempt "
-             "(sets REPRO_BACKOFF)",
-    )
-    parser.add_argument(
-        "--deadline-s", metavar="SECONDS", default=None, type=float,
-        help="wall-clock deadline per explanation "
-             "(sets REPRO_DEADLINE_S)",
-    )
-    parser.add_argument(
-        "--query-budget", metavar="ROWS", default=None, type=int,
-        help="model-query budget per explanation, in rows "
-             "(sets REPRO_QUERY_BUDGET)",
-    )
-    parser.add_argument(
-        "--backend", metavar="NAME", default=None,
-        choices=("serial", "thread", "process", "spawn"),
-        help="execution backend for estimators and explain_batch "
-             "(sets REPRO_BACKEND; results are bitwise-identical "
-             "whichever backend runs them)",
-    )
-    parser.add_argument(
-        "--n-procs", metavar="N", default=None, type=int,
-        help="worker count for the thread/process backends, -1 = all "
-             "cores (sets REPRO_N_PROCS)",
-    )
-    parser.add_argument(
-        "--no-coalition-cache", action="store_true",
-        help="disable the packed-bit coalition value caches in the games "
-             "evaluator and coalition engine (sets REPRO_COALITION_CACHE=0)",
-    )
+    for row in _GLOBAL_FLAGS:
+        if row.type is bool:  # a switch flag turns its setting off
+            parser.add_argument(
+                row.flag, dest=row.name, action="store_const", const="0",
+                help=f"sets {row.name}=0: {row.doc}",
+            )
+        else:
+            parser.add_argument(
+                row.flag, dest=row.name, type=row.type,
+                choices=row.choices or None,
+                metavar=None if row.choices else row.type.__name__.upper(),
+                help=f"sets {row.name}: {row.doc}",
+            )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="package inventory")
     sub.add_parser("experiments", help="list experiments E1…")
@@ -365,8 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         help="subcommand (only `serve` for now)",
     )
     metrics_p.add_argument(
-        "--port", default=int(os.environ.get("REPRO_METRICS_PORT") or 0),
-        type=int,
+        "--port", default=None, type=int,
         help="port to bind (default: REPRO_METRICS_PORT, else an "
              "OS-assigned free port)",
     )
@@ -374,8 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="explanation service hosting the demo loan model"
     )
     serve_p.add_argument(
-        "--port", default=int(os.environ.get("REPRO_SERVE_PORT") or 0),
-        type=int,
+        "--port", default=None, type=int,
         help="port to bind (default: REPRO_SERVE_PORT, else an "
              "OS-assigned free port)",
     )
@@ -423,21 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         help="clock used for folded-stack weights",
     )
     args = parser.parse_args(argv)
-    # Budget/retry flags become env knobs so the guard composed inside
-    # every as_predict_fn picks them up, whatever the command constructs.
-    for flag, env in (
-        ("retries", "REPRO_RETRIES"),
-        ("backoff", "REPRO_BACKOFF"),
-        ("deadline_s", "REPRO_DEADLINE_S"),
-        ("query_budget", "REPRO_QUERY_BUDGET"),
-        ("backend", "REPRO_BACKEND"),
-        ("n_procs", "REPRO_N_PROCS"),
-    ):
-        value = getattr(args, flag)
+    # Global flags become env values, so every reader of the setting
+    # picks them up, whatever the command constructs.
+    for row in _GLOBAL_FLAGS:
+        value = getattr(args, row.name)
         if value is not None:
-            os.environ[env] = str(value)
-    if args.no_coalition_cache:
-        os.environ["REPRO_COALITION_CACHE"] = "0"
+            os.environ[row.name] = str(value)
     handlers = {
         "info": cmd_info,
         "experiments": cmd_experiments,
@@ -455,12 +433,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "registry" and args.registry_command is None:
         registry_p.print_help()
         return 2
-    if args.trace and args.command != "trace":
-        sub_argv = [args.command]
-        if args.command == "demo":
-            sub_argv += ["--instance", str(args.instance)]
-        return _run_traced(sub_argv, args.trace)
-    return handlers[args.command](args)
+    try:
+        if args.trace and args.command != "trace":
+            sub_argv = [args.command]
+            if args.command == "demo":
+                sub_argv += ["--instance", str(args.instance)]
+            return _run_traced(sub_argv, args.trace)
+        return handlers[args.command](args)
+    except InputValidationError as e:  # a bad REPRO_* value, typically
+        print(f"repro: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

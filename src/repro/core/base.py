@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..config import setting
 from ..exec import in_worker, map_shards, plan_shards, resolve_backend, \
     resolve_n_procs
 from ..obs import metrics
@@ -44,10 +45,9 @@ from ..obs.trace import current_span
 from ..robust.errors import BatchRowError, InputValidationError, PartialBatchError
 from ..robust.guard import (
     GuardConfig,
+    check_instance,
     guard_predict_fn,
     guard_scope,
-    resolve_deadline_s,
-    resolve_query_budget,
 )
 from .explanation import FeatureAttribution
 
@@ -66,11 +66,8 @@ def _budgets_configured(guard) -> bool:
     budget therefore keep the per-row loop, whose scope-per-row
     semantics the robust tests pin down.
     """
-    cfg = guard if isinstance(guard, GuardConfig) else None
-    return (
-        resolve_deadline_s(cfg.deadline_s if cfg else None) is not None
-        or resolve_query_budget(cfg.query_budget if cfg else None) is not None
-    )
+    cfg = guard if isinstance(guard, GuardConfig) else GuardConfig()
+    return cfg.limits() != (None, None)
 
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
@@ -249,22 +246,20 @@ class AttributionExplainer(Explainer):
             )
         backend_name = resolve_backend(backend)
 
-        results = self._try_amortized(X, backend_name, n_procs, kwargs)
-        if results is not None:
-            return (results, []) if return_errors else results
-
         def run_row(i: int, x: np.ndarray):
             try:
                 return self.explain(x, **kwargs), None
             except Exception as e:
                 return None, BatchRowError(index=i, error=e)
 
-        if backend_name == "serial" or X.shape[0] <= 1:
-            outcomes = [run_row(i, x) for i, x in enumerate(X)]
-        else:
-            outcomes = self._run_batch_sharded(
-                X, run_row, n_procs, backend_name
-            )
+        outcomes = self._try_amortized(X, backend_name, n_procs, kwargs)
+        if outcomes is None:
+            if backend_name == "serial" or X.shape[0] <= 1:
+                outcomes = [run_row(i, x) for i, x in enumerate(X)]
+            else:
+                outcomes = self._run_batch_sharded(
+                    X, run_row, n_procs, backend_name
+                )
         results = [res for res, __ in outcomes]
         errors = [err for __, err in outcomes if err is not None]
         if errors:
@@ -278,37 +273,49 @@ class AttributionExplainer(Explainer):
     def _try_amortized(self, X, backend_name, n_procs, kwargs):
         """Run the shared-plan batch path if eligible, else ``None``.
 
-        Eligibility gates keep the fused path strictly
-        behaviour-preserving; any exception inside it counts a
-        ``coalition.plan.fallbacks`` and yields the per-row loop. The
-        ambient batch span gets an ``amortized`` attribute either way.
+        Returns one ``(result, error)`` outcome per row, like the per-row
+        loop. Rows with non-finite entries never enter the fused path:
+        they fail with the :class:`InputValidationError` that ``explain``
+        would raise for them, and the rest stay fused. Eligibility gates
+        keep the fused path strictly behaviour-preserving; any exception
+        inside it counts a ``coalition.plan.fallbacks`` and yields the
+        per-row loop. The ambient batch span gets an ``amortized``
+        attribute either way.
         """
-        # Deferred import: repro.games imports the engine/exec layers at
-        # package-init time, so a module-level import here would cycle.
-        from ..games.plan import resolve_batch_plan
-
         amortized = False
-        results = None
+        outcomes = None
         if (
             X.shape[0] >= 2
             and hasattr(self, "_amortized_rows")
             and set(kwargs) <= {"feature_names"}
-            and resolve_batch_plan()
+            and setting("REPRO_BATCH_PLAN")
             and self._amortized_supported()
             and not _budgets_configured(self.guard_config)
         ):
+            outcomes = [(None, None)] * X.shape[0]
+            finite = np.isfinite(X).all(axis=1)
+            for i in np.flatnonzero(~finite):
+                try:
+                    check_instance(X[i])
+                except InputValidationError as e:
+                    outcomes[i] = (None, BatchRowError(index=int(i), error=e))
+            keep = np.flatnonzero(finite)
             try:
-                results = self._run_amortized(
-                    X, backend_name, n_procs, **kwargs
-                )
+                if keep.size:
+                    results = self._run_amortized(
+                        X if keep.size == X.shape[0] else X[keep],
+                        backend_name, n_procs, **kwargs,
+                    )
+                    for i, result in zip(keep, results):
+                        outcomes[i] = (result, None)
                 amortized = True
             except Exception:
                 metrics.counter(_PLAN_FALLBACKS).inc()
-                results = None
+                outcomes = None
         sp = current_span()
         if sp is not None:
             sp.set_attr("amortized", amortized)
-        return results
+        return outcomes
 
     def _amortized_supported(self) -> bool:
         """Explainer-specific veto for the amortized path (default: on)."""

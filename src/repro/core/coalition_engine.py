@@ -51,20 +51,16 @@ bitwise-identical expansions.
 from __future__ import annotations
 
 import base64
-import os
 from typing import Callable
 
 import numpy as np
 
+from ..config import setting
 from ..obs import metrics
 from ..persist.errors import PayloadError
 from ..persist.protocol import register_serializable
-from ..robust.errors import InputValidationError
 
 __all__ = [
-    "DEFAULT_MAX_BATCH_ROWS",
-    "resolve_max_batch_rows",
-    "resolve_cache",
     "broadcast_expand",
     "legacy_expand",
     "batched_predict",
@@ -72,51 +68,10 @@ __all__ = [
     "CoalitionEngine",
 ]
 
-DEFAULT_MAX_BATCH_ROWS = 65_536
 DEFAULT_CHUNK_RETRIES = 1
 
 _HITS = "coalition.cache.hits"
 _MISSES = "coalition.cache.misses"
-
-
-def resolve_max_batch_rows(value: int | None = None) -> int:
-    """The per-predict-call row bound: explicit value > env > default.
-
-    ``REPRO_MAX_BATCH_ROWS`` lets deployments cap the transient
-    coalition×background allocation without touching call sites. A
-    value that is not a positive integer raises
-    :class:`~repro.robust.InputValidationError` naming the variable.
-    """
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("REPRO_MAX_BATCH_ROWS", "").strip()
-    if not env:
-        return DEFAULT_MAX_BATCH_ROWS
-    try:
-        rows = int(env)
-    except ValueError:
-        rows = 0
-    if rows < 1:
-        raise InputValidationError(
-            f"REPRO_MAX_BATCH_ROWS must be a positive integer, got {env!r}"
-        )
-    return rows
-
-
-def resolve_cache(value: bool = True) -> bool:
-    """Whether coalition-value caching is enabled.
-
-    ``REPRO_COALITION_CACHE=0`` (or ``false``/``off``/``no``; CLI flag
-    ``--no-coalition-cache``) force-disables every coalition value cache
-    in the process — the A/B lever benchmarks and cache-suspicion
-    debugging sessions need. An explicit ``value=False`` at a call site
-    always wins; the env var can only turn caching *off*, never on for
-    a caller that opted out (stochastic games stay uncached).
-    """
-    if not value:
-        return False
-    env = os.environ.get("REPRO_COALITION_CACHE", "").strip().lower()
-    return env not in ("0", "false", "off", "no")
 
 
 def broadcast_expand(
@@ -172,7 +127,7 @@ def batched_predict(
     ``model.calls`` meter) changes.
     """
     rows = np.atleast_2d(rows)
-    limit = resolve_max_batch_rows(max_batch_rows)
+    limit = max(1, int(setting("REPRO_MAX_BATCH_ROWS", max_batch_rows)))
     n = rows.shape[0]
     if n <= limit:
         return np.asarray(predict_fn(rows), dtype=float).ravel()
@@ -288,7 +243,7 @@ class CoalitionEngine:
         (subsampled to ``max_background`` rows, as before).
     max_batch_rows:
         Upper bound on rows per predict-fn call (``None`` → env
-        ``REPRO_MAX_BATCH_ROWS`` → :data:`DEFAULT_MAX_BATCH_ROWS`).
+        ``REPRO_MAX_BATCH_ROWS`` → 65 536, see :mod:`repro.config`).
     chunk_retries:
         Extra whole-chunk attempts after the guarded predict function
         gives up on a chunk (:class:`repro.robust.ModelEvaluationError`).
@@ -312,7 +267,9 @@ class CoalitionEngine:
             idx = rng.choice(background.shape[0], size=max_background, replace=False)
             background = background[idx]
         self.background = background
-        self.max_batch_rows = resolve_max_batch_rows(max_batch_rows)
+        self.max_batch_rows = max(
+            1, int(setting("REPRO_MAX_BATCH_ROWS", max_batch_rows))
+        )
         self.chunk_retries = max(0, int(chunk_retries))
 
     @property
@@ -358,12 +315,11 @@ class CoalitionEngine:
         (``REPRO_CACHE_SNAPSHOT``): scope tokens keep foreign snapshots
         out, and a broken snapshot never fails the explanation.
         """
-        if not resolve_cache(cache):
+        if not (cache and setting("REPRO_COALITION_CACHE")):
             return None
-        from ..persist.snapshot import (maybe_prewarm, resolve_snapshot_path,
-                                        scope_token)
+        from ..persist.snapshot import maybe_prewarm, scope_token
         store = CoalitionValueCache()
-        if resolve_snapshot_path() is not None:
+        if setting("REPRO_CACHE_SNAPSHOT") is not None:
             maybe_prewarm(store, scope_token(x, self.background))
         return store
 

@@ -20,7 +20,6 @@ from .index import (
     ProvenanceDAG,
     RelationIndexes,
     SortIndex,
-    index_enabled,
 )
 from .planner import (
     And,
@@ -58,7 +57,6 @@ __all__ = [
     "ProvenanceDAG",
     "IntervalIndex",
     "LineageSupportIndex",
-    "index_enabled",
     "Query",
     "Predicate",
     "Eq",

@@ -45,13 +45,12 @@ Telemetry (``repro.obs`` counters): ``db.index.hits`` / ``misses``
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 
+from ..config import setting
 from ..obs import metrics
 
 __all__ = [
-    "index_enabled",
     "HashIndex",
     "SortIndex",
     "SortIndexUnavailable",
@@ -71,11 +70,6 @@ _BUILDS = "db.index.builds"
 _MAINTAINED = "db.index.maintained"
 _INVALIDATIONS = "db.index.invalidations"
 _TOMBSTONES = "db.index.tombstones"
-
-
-def index_enabled() -> bool:
-    """``REPRO_DB_INDEX=0`` disables every index acceleration path."""
-    return os.environ.get("REPRO_DB_INDEX", "1") != "0"
 
 
 def record_hit(n: int = 1) -> None:
@@ -387,16 +381,6 @@ class _Occ:
         self.alive = True
 
 
-def _default_max_occurrences(n_nodes: int) -> int:
-    raw = os.environ.get("REPRO_DB_INTERVAL_MAX_OCC")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return max(8 * n_nodes, 1024)
-
-
 class IntervalIndex:
     """Pre/post-order interval encoding of a :class:`ProvenanceDAG`.
 
@@ -409,8 +393,8 @@ class IntervalIndex:
     def __init__(self, dag: ProvenanceDAG, max_occurrences: int | None = None
                  ) -> None:
         self.dag = dag
-        self._cap = (max_occurrences if max_occurrences is not None
-                     else _default_max_occurrences(len(dag)))
+        cap = setting("REPRO_DB_INTERVAL_MAX_OCC", max_occurrences)
+        self._cap = max(8 * len(dag), 1024) if cap is None else cap
         self._build()
         metrics.counter(_BUILDS).inc()
 

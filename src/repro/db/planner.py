@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .index import index_enabled, record_hit, record_miss
+from ..config import setting
+from .index import record_hit, record_miss
 from .relation import Relation
 
 __all__ = [
@@ -392,7 +393,7 @@ def _access_path(relation: Relation, predicate: Predicate):
     """
     conjuncts = _conjuncts(predicate)
     structured = any(c.columns() is not None for c in conjuncts)
-    if not index_enabled():
+    if not setting("REPRO_DB_INDEX"):
         return None, None, None, structured
     for at, conjunct in enumerate(conjuncts):  # prefer equality probes
         if isinstance(conjunct, Eq):
@@ -638,7 +639,7 @@ def _lower(node) -> _PhysicalNode:
     left = _lower(node.left)
     if not shared:
         return _CartesianNode(left, _lower(node.right))
-    if isinstance(node.right, _Scan) and index_enabled():
+    if isinstance(node.right, _Scan) and setting("REPRO_DB_INDEX"):
         return _IndexJoinNode(left, node.right.relation, shared)
     return _HashJoinNode(left, _lower(node.right), shared)
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index import index_enabled, record_hit
+from ..config import setting
+from .index import record_hit
 from .relation import Relation
 from .tuple_shapley import shapley_of_tuples
 
@@ -53,7 +54,7 @@ class FunctionalDependency:
 
     def violations(self, relation: Relation) -> int:
         """Number of unordered tuple pairs violating the FD."""
-        if not index_enabled():
+        if not setting("REPRO_DB_INDEX"):
             return self.legacy_violations(relation)
         rhs_idx = [relation._col(c) for c in self.rhs]
         total = 0
@@ -71,7 +72,7 @@ class FunctionalDependency:
 
     def violating_tuples(self, relation: Relation) -> set[int]:
         """Indices of tuples participating in at least one violation."""
-        if not index_enabled():
+        if not setting("REPRO_DB_INDEX"):
             return self.legacy_violating_tuples(relation)
         rhs_idx = [relation._col(c) for c in self.rhs]
         out: set[int] = set()

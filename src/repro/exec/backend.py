@@ -25,6 +25,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from ..config import SETTINGS, setting
+
 __all__ = [
     "BACKENDS",
     "in_worker",
@@ -34,7 +36,7 @@ __all__ = [
     "fork_available",
 ]
 
-BACKENDS = ("serial", "thread", "process", "spawn")
+BACKENDS = SETTINGS["REPRO_BACKEND"].choices
 
 _IN_WORKER = False
 
@@ -64,12 +66,7 @@ def resolve_backend(value: str | None = None) -> str:
     """
     if _IN_WORKER:
         return "serial"
-    if value is None:
-        env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        value = env or None
-    if value is None:
-        return "serial"
-    value = str(value).strip().lower()
+    value = str(setting("REPRO_BACKEND", value)).strip().lower()
     if value not in BACKENDS:
         raise ValueError(
             f"backend must be one of {'|'.join(BACKENDS)}, got {value!r}"
@@ -82,16 +79,7 @@ def resolve_n_procs(value: int | None = None) -> int:
 
     ``-1`` (either source) means "all cores".
     """
-    if value is None:
-        env = os.environ.get("REPRO_N_PROCS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                value = None
-    if value is None:
+    value = setting("REPRO_N_PROCS", value)
+    if value is None or int(value) < 0:
         return os.cpu_count() or 1
-    value = int(value)
-    if value < 0:
-        value = os.cpu_count() or 1
-    return max(1, value)
+    return max(1, int(value))

@@ -40,7 +40,6 @@ from .plan import (
     kernel_plan,
     mean_walks_reduce,
     permutation_plan,
-    resolve_batch_plan,
     shared_plan,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "game_value_function",
     "amortized_plan_values",
     "CoalitionPlan",
-    "resolve_batch_plan",
     "permutation_plan",
     "kernel_plan",
     "shared_plan",

@@ -47,12 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.coalition_engine import (
-    DEFAULT_CHUNK_RETRIES,
-    CoalitionValueCache,
-    resolve_cache,
-    resolve_max_batch_rows,
-)
+from ..config import setting
+from ..core.coalition_engine import DEFAULT_CHUNK_RETRIES, CoalitionValueCache
 from ..obs import metrics
 from ..obs.trace import span
 from ..robust.errors import (
@@ -62,12 +58,10 @@ from ..robust.errors import (
 )
 from ..robust.guard import (
     TRANSIENT_DEFAULT,
-    GuardConfig,
+    _ENV_GUARD,
     _backoff_sleep,
     _note_retry,
     current_scope,
-    resolve_backoff,
-    resolve_retries,
 )
 from .base import as_game
 
@@ -131,7 +125,7 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
             if retries is None:
                 # Read only once something failed: the clean path runs
                 # once per chunk and must not pay for the env lookups.
-                retries, backoff = resolve_retries(), resolve_backoff()
+                retries, backoff = _ENV_GUARD.retry_policy()
             if failures > retries:
                 raise ModelEvaluationError(
                     f"game evaluation failed after {failures} attempts "
@@ -139,7 +133,7 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                     attempts=failures,
                 ) from e
             _note_retry(scope)
-            _backoff_sleep(GuardConfig(), backoff, failures, scope)
+            _backoff_sleep(_ENV_GUARD, backoff, failures, scope)
     if vals.shape[0] != masks.shape[0]:
         raise ModelEvaluationError(
             f"{type(game).__name__}.value returned {vals.shape[0]} values "
@@ -160,9 +154,8 @@ class _GameValueFunction:
         self.cache = store
         self._guarded = getattr(game, "guarded", False)
         self._rows_per = max(1, int(getattr(game, "rows_per_coalition", 1)))
-        self._per_chunk = max(
-            1, resolve_max_batch_rows(max_batch_rows) // self._rows_per
-        )
+        rows = int(setting("REPRO_MAX_BATCH_ROWS", max_batch_rows))
+        self._per_chunk = max(1, rows // self._rows_per)
         self._chunk_retries = max(0, int(chunk_retries))
         self._positional = hasattr(game, "value_at")
 
@@ -298,11 +291,12 @@ def game_value_function(
     if cache is None and hasattr(game, "cache"):
         cache = False if game.cache is None else game.cache
     if isinstance(cache, CoalitionValueCache):
-        store = cache if resolve_cache(True) else None
+        store = cache if setting("REPRO_COALITION_CACHE") else None
     else:
-        deterministic = getattr(game, "deterministic", False)
-        use_cache = resolve_cache(deterministic if cache is None else cache)
-        store = CoalitionValueCache() if use_cache else None
+        if cache is None:
+            cache = getattr(game, "deterministic", False)
+        store = (CoalitionValueCache()
+                 if cache and setting("REPRO_COALITION_CACHE") else None)
     if max_batch_rows is None:
         max_batch_rows = getattr(game, "max_batch_rows", None)
     if chunk_retries is None:

@@ -31,7 +31,6 @@ falls back to the per-row loop), mirroring ``REPRO_COALITION_CACHE``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ from .base import walk_masks
 
 __all__ = [
     "CoalitionPlan",
-    "resolve_batch_plan",
     "permutation_plan",
     "kernel_plan",
     "shared_plan",
@@ -50,20 +48,6 @@ __all__ = [
 
 _BUILT = "coalition.plan.built"
 _REUSED = "coalition.plan.reused"
-
-
-def resolve_batch_plan(value: bool = True) -> bool:
-    """Whether amortized batch planning is enabled.
-
-    ``REPRO_BATCH_PLAN=0`` (or ``false``/``off``/``no``) force-disables
-    the shared-plan path so ``explain_batch`` runs the per-row loop —
-    the A/B lever the E42 benchmark and parity tests need. An explicit
-    ``value=False`` at a call site always wins.
-    """
-    if not value:
-        return False
-    env = os.environ.get("REPRO_BATCH_PLAN", "").strip().lower()
-    return env not in ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ Quick use::
     obs.get_tracer().export("trace.jsonl")
 """
 
+from ..config import setting as _setting
 from .trace import (
     Span,
     Tracer,
@@ -156,7 +157,10 @@ __all__ = [
     "export",
 ]
 
-# REPRO_METRICS_PORT starts the exposition endpoint with the process —
-# the no-code-change path for wrapping telemetry around existing
-# scripts. A no-op unless the variable is set.
+# The package's three import-time settings (see repro.config), read once
+# every obs module is loaded. REPRO_METRICS_PORT starts the exposition
+# endpoint with the process — the no-code-change path for wrapping
+# telemetry around existing scripts; a no-op unless the variable is set.
+set_enabled(_setting("REPRO_OBS"))
+set_trace_sample(_setting("REPRO_TRACE_SAMPLE"))
 maybe_autostart()

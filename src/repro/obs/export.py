@@ -28,12 +28,12 @@ server is a daemon thread — it never blocks interpreter exit.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from ..config import setting
 from . import metrics, trace
 from .ledger import get_ledger
 from .metrics import Counter, Gauge, Histogram
@@ -210,11 +210,11 @@ def metrics_server_address() -> tuple[str, int] | None:
 
 def maybe_autostart() -> tuple[str, int] | None:
     """Honor ``REPRO_METRICS_PORT`` (checked once at package import)."""
-    raw = os.environ.get("REPRO_METRICS_PORT", "").strip()
-    if not raw:
+    port = setting("REPRO_METRICS_PORT")
+    if port is None:
         return None
     try:
-        return start_metrics_server(port=int(raw))
-    except (ValueError, OSError):
+        return start_metrics_server(port=port)
+    except OSError:
         metrics.counter("obs.internal_errors").inc()
         return None

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import deque
 
+from ..config import setting
 from . import metrics
 
 __all__ = [
@@ -104,7 +104,7 @@ def get_ledger() -> RunLedger:
     global _ledger
     with _ledger_lock:
         if _ledger is None:
-            _ledger = RunLedger(os.environ.get("REPRO_LEDGER") or None)
+            _ledger = RunLedger(setting("REPRO_LEDGER"))
         return _ledger
 
 

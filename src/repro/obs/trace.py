@@ -35,9 +35,9 @@ from __future__ import annotations
 import contextvars
 import itertools
 import json
-import os
 import threading
 import time
+from collections import deque
 
 __all__ = [
     "Span",
@@ -52,9 +52,9 @@ __all__ = [
     "set_trace_sample",
 ]
 
-_TRUTHY_OFF = ("0", "false", "off", "no")
-
-_enabled = os.environ.get("REPRO_OBS", "1").strip().lower() not in _TRUTHY_OFF
+# Set from REPRO_OBS and REPRO_TRACE_SAMPLE when repro.obs finishes
+# importing (see repro.config).
+_enabled = True
 
 
 def enabled() -> bool:
@@ -68,15 +68,9 @@ def set_enabled(flag: bool) -> None:
     _enabled = bool(flag)
 
 
-def _parse_sample(raw: str | None) -> int:
-    """Sampling stride from a keep-rate string (1.0 → 1, 0.1 → 10)."""
-    if not raw:
-        return 1
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 1
-    if rate >= 1.0:
+def _stride(rate: float | None) -> int:
+    """Sampling stride from a keep rate (1.0 → 1, 0.1 → 10, 0 → none)."""
+    if rate is None or rate >= 1.0:
         return 1
     if rate <= 0.0:
         return 0
@@ -90,7 +84,7 @@ def _parse_sample(raw: str | None) -> int:
 # their root's fate, so sampled traces are always complete trees.
 # Metrics (histograms, counters, the model-eval meter) are never
 # sampled; they observe every event regardless.
-_sample_stride = _parse_sample(os.environ.get("REPRO_TRACE_SAMPLE"))
+_sample_stride = 1
 _sample_counter = itertools.count()
 
 
@@ -102,7 +96,7 @@ def trace_sample() -> float:
 def set_trace_sample(rate: float | None) -> None:
     """Programmatically set the trace keep-rate (overrides the env var)."""
     global _sample_stride
-    _sample_stride = _parse_sample(None if rate is None else str(rate))
+    _sample_stride = _stride(None if rate is None else float(rate))
 
 
 def _sample_keep() -> bool:
@@ -237,15 +231,16 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Process-global sink for finished spans, with optional JSONL export.
 
-    Finished spans are kept in an in-memory ring (bounded by
-    ``max_spans``; overflow increments ``dropped``) and, when an export
-    is active, appended to a JSONL file as they close.
+    Finished spans are kept in an in-memory ring of the newest
+    ``max_spans``; each span the ring evicts increments ``dropped`` and
+    the ``obs.spans.dropped`` counter. When an export is active, spans
+    are also appended to a JSONL file as they close.
     """
 
     def __init__(self, max_spans: int = 100_000) -> None:
         self._lock = threading.Lock()
-        self._spans: list[Span] = []
-        self._max_spans = max_spans
+        self._spans: deque[Span] = deque(maxlen=max_spans)
+        self._recorded = 0
         self.dropped = 0
         self._export_path: str | None = None
         self._export_file = None
@@ -254,28 +249,37 @@ class Tracer:
 
     def record(self, finished: Span) -> None:
         with self._lock:
-            if len(self._spans) < self._max_spans:
-                self._spans.append(finished)
-            else:
+            evicts = len(self._spans) == self._spans.maxlen
+            self._spans.append(finished)
+            self._recorded += 1
+            if evicts:
                 self.dropped += 1
             if self._export_file is not None:
                 json.dump(finished.to_dict(), self._export_file)
                 self._export_file.write("\n")
                 self._export_file.flush()
+        if evicts:
+            from . import metrics  # local: metrics imports this module
+
+            metrics.counter("obs.spans.dropped").inc()
 
     def spans(self) -> list[Span]:
-        """Snapshot of all recorded spans (closed spans only)."""
+        """Snapshot of the spans the ring holds (closed spans only)."""
         with self._lock:
             return list(self._spans)
 
     def mark(self) -> int:
-        """Bookmark the current span count; pair with :meth:`spans_since`."""
+        """Spans recorded so far (monotonic, never reset); pair with
+        :meth:`spans_since`."""
         with self._lock:
-            return len(self._spans)
+            return self._recorded
 
     def spans_since(self, mark: int) -> list[Span]:
+        """The spans recorded after ``mark`` that the ring still holds."""
         with self._lock:
-            return list(self._spans[mark:])
+            newer = self._recorded - mark
+            skip = max(0, len(self._spans) - newer)
+            return list(itertools.islice(self._spans, skip, None))
 
     def reset(self) -> None:
         with self._lock:

@@ -36,26 +36,22 @@ import os
 import threading
 import time
 
+from ..config import setting
 from .errors import ArtifactConflictError, ArtifactNotFoundError, PersistError
 from .protocol import dumps, loads
 
 __all__ = [
-    "DEFAULT_REGISTRY_DIR",
     "resolve_registry_dir",
     "ArtifactRegistry",
 ]
 
-DEFAULT_REGISTRY_DIR = ".repro_registry"
 _LOCK_TIMEOUT_S = 10.0
 _LOCK_POLL_S = 0.005
 
 
 def resolve_registry_dir(root: str | None = None) -> str:
     """Registry root: explicit arg > ``REPRO_REGISTRY_DIR`` > default."""
-    if root:
-        return root
-    env = os.environ.get("REPRO_REGISTRY_DIR", "").strip()
-    return env or DEFAULT_REGISTRY_DIR
+    return setting("REPRO_REGISTRY_DIR", root or None)
 
 
 class _FileLock:

@@ -28,6 +28,7 @@ import os
 
 import numpy as np
 
+from ..config import setting
 from ..obs import metrics
 from .errors import PayloadError, PersistError
 
@@ -38,7 +39,6 @@ __all__ = [
     "save_cache_snapshot",
     "load_cache_snapshot",
     "prewarm_cache",
-    "resolve_snapshot_path",
     "maybe_prewarm",
 ]
 
@@ -129,18 +129,11 @@ def prewarm_cache(cache, payload: dict, scope: str | None) -> int:
     return added
 
 
-def resolve_snapshot_path() -> str | None:
-    """The ``REPRO_CACHE_SNAPSHOT`` target, if set and existing."""
-    path = os.environ.get("REPRO_CACHE_SNAPSHOT", "").strip()
-    if not path:
-        return None
-    return path if os.path.exists(path) else None
-
-
 def maybe_prewarm(cache, scope: str | None) -> int:
-    """Env-driven pre-warm hook for freshly created caches."""
-    path = resolve_snapshot_path()
-    if path is None or cache is None:
+    """Env-driven pre-warm hook for freshly created caches: loads the
+    ``REPRO_CACHE_SNAPSHOT`` file, if set and existing."""
+    path = setting("REPRO_CACHE_SNAPSHOT")
+    if path is None or cache is None or not os.path.exists(path):
         return 0
     try:
         payload = load_cache_snapshot(path)

@@ -48,10 +48,6 @@ from .guard import (
     guard_scope,
     remaining_s,
     request_envelope,
-    resolve_backoff,
-    resolve_deadline_s,
-    resolve_query_budget,
-    resolve_retries,
     seed_backoff_jitter,
 )
 from .faults import FaultyModel
@@ -77,9 +73,5 @@ __all__ = [
     "compose_deadline",
     "seed_backoff_jitter",
     "check_instance",
-    "resolve_retries",
-    "resolve_backoff",
-    "resolve_deadline_s",
-    "resolve_query_budget",
     "FaultyModel",
 ]

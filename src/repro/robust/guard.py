@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import random
 import threading
 import time
@@ -59,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..config import setting
 from ..obs import metrics, trace
 from ..persist.protocol import Serializable, register_serializable
 from .errors import (
@@ -72,8 +72,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_RETRIES",
-    "DEFAULT_BACKOFF_S",
     "BACKOFF_CAP_S",
     "GuardConfig",
     "GuardScope",
@@ -87,14 +85,8 @@ __all__ = [
     "seed_backoff_jitter",
     "guard_predict_fn",
     "check_instance",
-    "resolve_retries",
-    "resolve_backoff",
-    "resolve_deadline_s",
-    "resolve_query_budget",
 ]
 
-DEFAULT_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.05
 BACKOFF_CAP_S = 2.0
 
 # Exception types the guard treats as transient (retryable) by default.
@@ -111,66 +103,6 @@ _IMPUTED = "robust.imputed"
 _BUDGET_EXHAUSTED = "robust.budget_exhausted"
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def resolve_retries(value: int | None = None) -> int:
-    """Transient-failure retry count: explicit > ``REPRO_RETRIES`` > 2."""
-    if value is None:
-        value = _env_int("REPRO_RETRIES")
-    return DEFAULT_RETRIES if value is None else max(0, int(value))
-
-
-def resolve_backoff(value: float | None = None) -> float:
-    """Base backoff seconds: explicit > ``REPRO_BACKOFF`` > 0.05."""
-    if value is None:
-        value = _env_float("REPRO_BACKOFF")
-    return DEFAULT_BACKOFF_S if value is None else max(0.0, float(value))
-
-
-def resolve_deadline_s(value: float | None = None) -> float | None:
-    """Per-explanation wall-clock deadline: explicit > ``REPRO_DEADLINE_S``.
-
-    ``None`` (the default) means no deadline; non-positive values are
-    treated as unset.
-    """
-    if value is None:
-        value = _env_float("REPRO_DEADLINE_S")
-    if value is None or value <= 0:
-        return None
-    return float(value)
-
-
-def resolve_query_budget(value: int | None = None) -> int | None:
-    """Per-explanation row budget: explicit > ``REPRO_QUERY_BUDGET``.
-
-    ``None`` (the default) means unlimited; non-positive values are
-    treated as unset.
-    """
-    if value is None:
-        value = _env_int("REPRO_QUERY_BUDGET")
-    if value is None or value <= 0:
-        return None
-    return int(value)
-
-
 @register_serializable("robust.GuardConfig")
 @dataclass
 class GuardConfig(Serializable):
@@ -178,17 +110,17 @@ class GuardConfig(Serializable):
 
     Every ``None`` field falls back to its environment variable at call
     time (so tests and the CLI can flip ``REPRO_*`` without rebuilding
-    explainers), then to the library default.
+    explainers), then to the default in :mod:`repro.config`.
 
     Persistence note: ``transient`` (exception classes) and ``sleep``
     (a callable) are ephemeral — a revived config carries the library
     defaults for both, which is the equivalent-copy contract.
     """
 
-    retries: int | None = None          # REPRO_RETRIES, default 2
-    backoff_s: float | None = None      # REPRO_BACKOFF, default 0.05
-    deadline_s: float | None = None     # REPRO_DEADLINE_S, default off
-    query_budget: int | None = None     # REPRO_QUERY_BUDGET, default off
+    retries: int | None = None          # REPRO_RETRIES
+    backoff_s: float | None = None      # REPRO_BACKOFF
+    deadline_s: float | None = None     # REPRO_DEADLINE_S
+    query_budget: int | None = None     # REPRO_QUERY_BUDGET
     on_nonfinite: str = "raise"         # raise | requery | impute
     impute_value: float | None = None   # fallback when a whole batch is bad
     transient: tuple = TRANSIENT_DEFAULT
@@ -203,6 +135,24 @@ class GuardConfig(Serializable):
                 f"on_nonfinite must be raise|requery|impute, "
                 f"got {self.on_nonfinite!r}"
             )
+
+    def retry_policy(self) -> tuple[int, float]:
+        """``(retries, base backoff seconds)`` in force; negatives are 0."""
+        return (max(0, int(setting("REPRO_RETRIES", self.retries))),
+                max(0.0, float(setting("REPRO_BACKOFF", self.backoff_s))))
+
+    def limits(self) -> tuple[float | None, int | None]:
+        """``(deadline_s, query_budget)`` in force; ``None`` (or a
+        non-positive value) means no limit."""
+        deadline = setting("REPRO_DEADLINE_S", self.deadline_s)
+        budget = setting("REPRO_QUERY_BUDGET", self.query_budget)
+        return (float(deadline) if deadline is not None and deadline > 0
+                else None,
+                int(budget) if budget is not None and budget > 0 else None)
+
+
+# The config of explainers built without one: every field from the env.
+_ENV_GUARD = GuardConfig()
 
 
 class GuardScope:
@@ -296,8 +246,8 @@ def request_envelope(deadline_s: float | None,
     remaining time is measured from envelope open, so seconds spent in
     the admission queue are seconds the explanation no longer has.
     """
-    scope = GuardScope(resolve_deadline_s(deadline_s),
-                       resolve_query_budget(query_budget))
+    scope = GuardScope(*GuardConfig(deadline_s=deadline_s,
+                                    query_budget=query_budget).limits())
     token = _ENVELOPE.set(scope)
     try:
         yield scope
@@ -352,8 +302,8 @@ def guard_scope(config: GuardConfig | None | bool = None):
         finally:
             _SCOPE.reset(token)
         return
-    cfg = config if isinstance(config, GuardConfig) else None
-    deadline = resolve_deadline_s(cfg.deadline_s if cfg else None)
+    cfg = config if isinstance(config, GuardConfig) else _ENV_GUARD
+    deadline, query_budget = cfg.limits()
     # An ambient request envelope (the serve layer's per-request budget)
     # clips every scope opened inside it: the fresh scope gets at most
     # the envelope's *remaining* wall clock, so time spent queueing is
@@ -364,10 +314,7 @@ def guard_scope(config: GuardConfig | None | bool = None):
             envelope_left if deadline is None
             else min(deadline, envelope_left)
         )
-    scope = GuardScope(
-        deadline,
-        resolve_query_budget(cfg.query_budget if cfg else None),
-    )
+    scope = GuardScope(deadline, query_budget)
     token = _SCOPE.set(scope)
     try:
         yield scope
@@ -467,8 +414,9 @@ def guard_predict_fn(fn, config: GuardConfig | None | bool = None):
 
     def guarded(X):
         n_rows = _n_rows(X)
-        retries = resolve_retries(cfg.retries)
-        backoff = resolve_backoff(cfg.backoff_s)
+        # (retries, backoff), read only once a call has failed: the clean
+        # path runs once per model call and must not pay for the lookups.
+        policy = None
         scope = _SCOPE.get()
         failures = 0
         while True:
@@ -483,14 +431,15 @@ def guard_predict_fn(fn, config: GuardConfig | None | bool = None):
                 raise
             except cfg.transient as e:
                 failures += 1
-                if failures > retries:
+                policy = policy or cfg.retry_policy()
+                if failures > policy[0]:
                     raise ModelEvaluationError(
                         f"model evaluation failed after {failures} attempts "
-                        f"({retries} retries): {type(e).__name__}: {e}",
+                        f"({policy[0]} retries): {type(e).__name__}: {e}",
                         attempts=failures,
                     ) from e
                 _note_retry(scope)
-                _backoff_sleep(cfg, backoff, failures, scope)
+                _backoff_sleep(cfg, policy[1], failures, scope)
                 continue
             except ReproError:
                 raise
@@ -505,24 +454,26 @@ def guard_predict_fn(fn, config: GuardConfig | None | bool = None):
                 scope.rows_spent += n_rows
             if out.shape[0] != n_rows:
                 failures += 1
-                if failures > retries:
+                policy = policy or cfg.retry_policy()
+                if failures > policy[0]:
                     raise OutputShapeError(
                         f"model returned {out.shape[0]} outputs for "
                         f"{n_rows} rows (after {failures} attempts)",
                         attempts=failures,
                     )
                 _note_retry(scope)
-                _backoff_sleep(cfg, backoff, failures, scope)
+                _backoff_sleep(cfg, policy[1], failures, scope)
                 continue
             finite = np.isfinite(out)
             if finite.all():
                 return out
             n_bad = int((~finite).sum())
             metrics.counter(_NONFINITE).inc(n_bad)
-            if cfg.on_nonfinite == "requery" and failures < retries:
+            policy = policy or cfg.retry_policy()
+            if cfg.on_nonfinite == "requery" and failures < policy[0]:
                 failures += 1
                 _note_retry(scope)
-                _backoff_sleep(cfg, backoff, failures, scope)
+                _backoff_sleep(cfg, policy[1], failures, scope)
                 continue
             if cfg.on_nonfinite == "impute" or (
                 cfg.on_nonfinite == "requery" and cfg.impute_value is not None

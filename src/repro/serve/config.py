@@ -1,26 +1,11 @@
-"""Service configuration: every knob, one env var, one default.
+"""Service configuration: the resolved knobs of one explanation server.
 
-All knobs resolve at :class:`ServeConfig` construction from
-``REPRO_SERVE_*`` environment variables (explicit constructor arguments
-win), so `repro serve` deployments are tunable without code and the
-tests can build tiny servers (1 slot, 2-entry cache) directly.
-
-=============================== ============================= =========
-constructor field               environment variable          default
-=============================== ============================= =========
-``max_inflight``                ``REPRO_SERVE_MAX_INFLIGHT``  4
-``queue_limit``                 ``REPRO_SERVE_QUEUE_LIMIT``   16
-``default_deadline_s``          ``REPRO_SERVE_DEADLINE_S``    10.0
-``cache_size``                  ``REPRO_SERVE_CACHE_SIZE``    512
-``cache_ttl_s``                 ``REPRO_SERVE_CACHE_TTL_S``   300.0
-``coalesce_enabled``            ``REPRO_SERVE_COALESCE``      1 (on)
-``breaker_threshold``           ``REPRO_SERVE_BREAKER_THRESHOLD``  5
-``breaker_cooldown_s``          ``REPRO_SERVE_BREAKER_COOLDOWN_S`` 5.0
-``ladder_enabled``              ``REPRO_SERVE_LADDER``        1 (on)
-``degrade_pressure``            ``REPRO_SERVE_DEGRADE_AT``    0.5
-``shed_pressure``               ``REPRO_SERVE_SHED_AT``       0.85
-``socket_timeout_s``            ``REPRO_SERVE_SOCKET_TIMEOUT_S`` 30.0
-=============================== ============================= =========
+The twelve ``None``-defaulted fields each back one ``REPRO_SERVE_*``
+variable of :mod:`repro.config` (the table's ``field`` column), and
+resolve at :class:`ServeConfig` construction: an explicit constructor
+argument wins, else the environment, else the table's default. So
+``repro serve`` deployments are tunable without code and the tests can
+build tiny servers (1 slot, 2-entry cache) directly.
 
 ``degrade_pressure`` / ``shed_pressure`` are the two rungs of the
 degradation ladder (:mod:`repro.serve.ladder`): below the first the
@@ -31,37 +16,14 @@ serves the cheapest tier only.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from ..config import SETTINGS, setting
 
 __all__ = ["ServeConfig"]
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
+# The table rows that back a field, in table order.
+_FIELD_ROWS = tuple(row for row in SETTINGS.values() if row.field)
 
 
 @dataclass
@@ -90,36 +52,9 @@ class ServeConfig:
     retry_after_s: float = field(default=1.0)
 
     def __post_init__(self) -> None:
-        if self.max_inflight is None:
-            self.max_inflight = _env_int("REPRO_SERVE_MAX_INFLIGHT", 4)
-        if self.queue_limit is None:
-            self.queue_limit = _env_int("REPRO_SERVE_QUEUE_LIMIT", 16)
-        if self.default_deadline_s is None:
-            self.default_deadline_s = _env_float("REPRO_SERVE_DEADLINE_S", 10.0)
-        if self.cache_size is None:
-            self.cache_size = _env_int("REPRO_SERVE_CACHE_SIZE", 512)
-        if self.cache_ttl_s is None:
-            self.cache_ttl_s = _env_float("REPRO_SERVE_CACHE_TTL_S", 300.0)
-        if self.coalesce_enabled is None:
-            self.coalesce_enabled = _env_bool("REPRO_SERVE_COALESCE", True)
-        if self.breaker_threshold is None:
-            self.breaker_threshold = _env_int(
-                "REPRO_SERVE_BREAKER_THRESHOLD", 5
-            )
-        if self.breaker_cooldown_s is None:
-            self.breaker_cooldown_s = _env_float(
-                "REPRO_SERVE_BREAKER_COOLDOWN_S", 5.0
-            )
-        if self.ladder_enabled is None:
-            self.ladder_enabled = _env_bool("REPRO_SERVE_LADDER", True)
-        if self.degrade_pressure is None:
-            self.degrade_pressure = _env_float("REPRO_SERVE_DEGRADE_AT", 0.5)
-        if self.shed_pressure is None:
-            self.shed_pressure = _env_float("REPRO_SERVE_SHED_AT", 0.85)
-        if self.socket_timeout_s is None:
-            self.socket_timeout_s = _env_float(
-                "REPRO_SERVE_SOCKET_TIMEOUT_S", 30.0
-            )
+        for row in _FIELD_ROWS:
+            explicit = getattr(self, row.field)
+            setattr(self, row.field, setting(row.name, explicit))
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.queue_limit < 0:

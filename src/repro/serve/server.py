@@ -34,6 +34,7 @@ Routes: ``POST /explain``, ``GET /healthz``, ``GET /serve/stats``,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -42,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from ..config import effective
 from ..obs import metrics
 from ..obs.ledger import record_request
 from ..persist.errors import ArtifactNotFoundError
@@ -410,6 +412,12 @@ class ExplainServer:
             "breakers": {
                 name: self.breaker(name).state
                 for name in self.registry.names()
+            },
+            # What this process runs with: every REPRO_* setting's value
+            # and source, and this server's resolved knobs.
+            "config": {
+                "settings": effective(),
+                "serve": dataclasses.asdict(self.config),
             },
         }
 

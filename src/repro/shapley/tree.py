@@ -41,12 +41,12 @@ amortizes across rows); ``explain_batch`` uses the fused kernel, and
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import setting
 from ..core.explanation import FeatureAttribution
 from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
 from ..obs import instrument_explainer
@@ -59,24 +59,9 @@ __all__ = [
     "tree_shap_values",
     "tree_expected_value",
     "batch_tree_shap_values",
-    "resolve_precompute",
     "TreePrecompute",
     "TreeShapExplainer",
 ]
-
-
-def resolve_precompute(value: bool = True) -> bool:
-    """Whether the per-model TreeSHAP precompute path is enabled.
-
-    ``REPRO_PRECOMPUTE=0`` (or ``false``/``off``/``no``) force-disables
-    it, restoring the per-instance scalar recursion — the A/B lever the
-    E42 benchmark uses to separate precompute cost from per-instance
-    cost. An explicit ``value=False`` at a call site always wins.
-    """
-    if not value:
-        return False
-    env = os.environ.get("REPRO_PRECOMPUTE", "").strip().lower()
-    return env not in ("0", "false", "off", "no")
 
 
 def _leaf_scalar(tree: TreeStructure, node: int, class_index: int | None) -> float:
@@ -591,7 +576,7 @@ class TreeShapExplainer:
         scalar loop.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        use_pre = resolve_precompute()
+        use_pre = setting("REPRO_PRECOMPUTE")
         sp = current_span()
         if sp is not None:
             sp.set_attr("amortized", bool(use_pre))

@@ -26,7 +26,7 @@ import pytest
 
 from repro import obs
 from repro.core.coalition_engine import CoalitionEngine
-from repro.robust import GuardConfig
+from repro.robust import GuardConfig, InputValidationError, PartialBatchError
 from repro.shapley import (
     ConditionalShapExplainer,
     KernelShapExplainer,
@@ -163,6 +163,35 @@ def test_fused_failure_falls_back_and_counts(loan_data, loan_logistic):
     reference = make_explainer("sampling", loan_logistic, loan_data)
     for ref, att in zip((reference.explain(x) for x in X), batch):
         assert np.array_equal(ref.values, att.values)
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_non_finite_row_fails_alone_and_the_rest_stay_fused(
+        backend, monkeypatch, loan_data, loan_logistic):
+    """A NaN row gets its own typed error before fusing; the other rows
+    match the per-row loop bit for bit."""
+    X = loan_data.X[:N_ROWS].copy()
+    X[2, 0] = np.nan
+    failed = obs.counter("robust.rows_failed").value
+    explainer = make_explainer("sampling", loan_logistic, loan_data)
+    with pytest.raises(PartialBatchError) as excinfo:
+        explainer.explain_batch(X, backend=backend, n_procs=2)
+    assert _batch_span().attrs["amortized"] is True
+    assert obs.counter("robust.rows_failed").value == failed + 1
+    (row_error,) = excinfo.value.errors
+    assert row_error.index == 2
+    assert isinstance(row_error.error, InputValidationError)
+    assert excinfo.value.completed_indices == [0, 1, 3, 4]
+
+    monkeypatch.setenv("REPRO_BATCH_PLAN", "0")
+    looped, loop_errors = make_explainer(
+        "sampling", loan_logistic, loan_data
+    ).explain_batch(X, backend=backend, n_procs=2, return_errors=True)
+    assert [e.index for e in loop_errors] == [2]
+    assert str(loop_errors[0].error) == str(row_error.error)
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(excinfo.value.partial[i].values,
+                              looped[i].values)
 
 
 def test_feature_names_ride_the_amortized_path(loan_data, loan_logistic):

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import setting
 from repro.core.base import as_predict_fn
 from repro.core.coalition_engine import (
     CoalitionEngine,
     batched_predict,
     broadcast_expand,
     legacy_expand,
-    resolve_max_batch_rows,
 )
 from repro.games import DataValueGame, game_value_function
 from repro.robust import InputValidationError
@@ -178,13 +178,13 @@ class TestChunking:
 
     def test_resolve_max_batch_rows_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_BATCH_ROWS", "123")
-        assert resolve_max_batch_rows() == 123
-        assert resolve_max_batch_rows(7) == 7
+        assert setting("REPRO_MAX_BATCH_ROWS") == 123
+        assert setting("REPRO_MAX_BATCH_ROWS", 7) == 7
         for bad in ("not-an-int", "0", "-5"):
             monkeypatch.setenv("REPRO_MAX_BATCH_ROWS", bad)
             with pytest.raises(InputValidationError,
                                match="REPRO_MAX_BATCH_ROWS"):
-                resolve_max_batch_rows()
+                setting("REPRO_MAX_BATCH_ROWS")
 
 
 @pytest.fixture(scope="module")

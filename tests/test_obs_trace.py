@@ -75,6 +75,24 @@ def test_mark_and_spans_since():
     assert [s.name for s in since] == ["after"]
 
 
+def test_tracer_is_a_ring_with_monotonic_marks():
+    """The newest ``max_spans`` stay; marks keep counting once it is
+    full, and every eviction is counted."""
+    tracer = obs.Tracer(max_spans=4)
+    dropped = obs.counter("obs.spans.dropped")
+    before = dropped.value
+    spans = [obs.Span(f"s{i}", {}, None) for i in range(10)]
+    for s in spans[:8]:
+        tracer.record(s)
+    mark = tracer.mark()
+    for s in spans[8:]:
+        tracer.record(s)
+    assert tracer.spans() == spans[-4:]
+    assert tracer.spans_since(mark) == spans[-2:]
+    assert tracer.mark() == 10
+    assert dropped.value - before == 6 == tracer.dropped
+
+
 def test_jsonl_export_streams_valid_records(tmp_path):
     out = tmp_path / "trace.jsonl"
     tracer = obs.get_tracer()

@@ -20,6 +20,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import SETTINGS, setting
 from repro.obs import metrics
 from repro.robust.errors import (
     BudgetExceededError,
@@ -423,6 +425,15 @@ def test_http_explain_healthz_stats_and_version_bump():
         status, health = _get(f"{base}/healthz")
         assert (status, health["status"]) == (200, "ok")
         assert health["models"] == ["m"]
+        # The effective configuration: every setting with its source,
+        # and this server's resolved knobs.
+        settings = health["config"]["settings"]
+        assert set(settings) == set(SETTINGS)
+        assert all(entry["source"] in ("env", "default")
+                   for entry in settings.values())
+        assert settings["REPRO_RETRIES"]["value"] == setting("REPRO_RETRIES")
+        assert health["config"]["serve"] == dataclasses.asdict(server.config)
+        assert health["config"]["serve"]["max_inflight"] == 2
         status, stats = _get(f"{base}/serve/stats")
         assert status == 200
         assert stats["models"]["m"]["breaker"] == "closed"
