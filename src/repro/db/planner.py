@@ -359,9 +359,8 @@ def _servable(relation: Relation, conjunct: Predicate):
 def _conjunct_ids(relation: Relation, kind: str, spec) -> list[int]:
     """Ascending row ids served by the chosen index access path."""
     if kind == "hash-eq":
-        return list(
-            relation.indexes.hash_index((spec.column,)).lookup((spec.value,))
-        )
+        index = relation.indexes.hash_index((spec.column,))
+        return index.lookup((spec.value,))
     if kind == "hash-complement":
         hit = set(
             relation.indexes.hash_index((spec.column,)).lookup((spec.value,))

@@ -10,11 +10,13 @@ merged duplicates, join ⊗s the participants.
 Rows are plain tuples over a named schema; values are arbitrary hashable
 Python objects (strings, numbers).
 
-Since the index/planner PR each relation also carries a lazy
+Each relation also carries a lazy
 :class:`repro.db.index.RelationIndexes` container (``.indexes``). The
 invalidation protocol: ``insert``/``delete`` maintain built indexes
-incrementally; any other in-place mutation of ``rows``/``annotations``
-must call :meth:`Relation.invalidate_indexes`.
+incrementally — postings hold stable row stamps, so a delete removes
+one posting per index and shifts none — and any other in-place
+mutation of ``rows``/``annotations`` must call
+:meth:`Relation.invalidate_indexes`.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ class Relation:
         return len(self.rows) - 1
 
     def delete(self, index: int) -> tuple:
-        """Remove the tuple at ``index``; built indexes are patched in
-        place (posting removal + id shifts), not rebuilt."""
+        """Remove the tuple at ``index`` (negative counts from the end);
+        built indexes drop the row's stamp — one posting each, O(log n),
+        no id shifts — and are not rebuilt."""
         row = self.rows.pop(index)
         self.annotations.pop(index)
         if self._indexes is not None:

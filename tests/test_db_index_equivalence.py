@@ -16,6 +16,7 @@ walks and the incrementally maintained indexes against fresh rebuilds.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -52,6 +53,7 @@ from repro.db.provenance import (
     LineageSemiring,
     WhySemiring,
 )
+from repro.obs import metrics
 
 SEMIRINGS = {
     "boolean": BooleanSemiring,
@@ -312,6 +314,20 @@ def test_gap_exhaustion_renumbers_transparently():
     assert index.descendants("root") == legacy_descendants(dag, "root")
 
 
+def test_tombstones_count_each_occurrence_once():
+    dag = ProvenanceDAG()
+    dag.add_node("root", ["a"])
+    index = IntervalIndex(dag)
+    before = metrics.counter("db.index.tombstones").value
+    for __ in range(2):  # delete, re-insert and delete the same id
+        index.insert_leaf("root", "x")
+        index.delete_leaf("x")
+    assert metrics.counter("db.index.tombstones").value - before == 2
+    assert index.n_occurrences == 2
+    assert dag.nodes == ["a", "root"]
+    assert index.descendants("root") == legacy_descendants(dag, "root")
+
+
 # -- relational index maintenance vs fresh rebuild -----------------------------
 
 
@@ -334,3 +350,66 @@ def test_relation_index_maintenance_matches_rebuild(seed):
                 fresh.indexes.hash_index(("a",)).lookup((value,))
             assert sort_index.range_ids(value - 1, value) == \
                 fresh.indexes.sort_index("b").range_ids(value - 1, value)
+
+
+def _assert_indexes_match_rebuild(relation: Relation, rng: random.Random,
+                                  full: bool) -> None:
+    """Narrow reads (stamps ranked one by one) first, then, when
+    ``full``, the full passes that renumber every posting."""
+    fresh = relation.subset(range(len(relation)))
+    for columns in (("a",), ("a", "b")):
+        index = relation.indexes.hash_index(columns)
+        rebuilt = fresh.indexes.hash_index(columns)
+        for key in itertools.product(range(10), repeat=len(columns)):
+            assert index.lookup(key) == rebuilt.lookup(key), (columns, key)
+    by_b = relation.indexes.sort_index("b")
+    rebuilt_b = fresh.indexes.sort_index("b")
+    lo = rng.randint(-1, 9)
+    assert by_b.range_ids(lo, lo + 1) == rebuilt_b.range_ids(lo, lo + 1)
+    predicate = And(Eq("a", rng.randint(0, 9)),
+                    Range("b", lo, lo + 2, lo_closed=True))
+    query = Query(relation).select(predicate)
+    assert query.execute().rows == query.legacy_execute().rows
+    assert query.execute().annotations == \
+        query.legacy_execute().annotations
+    if not full:
+        return
+    assert by_b.range_ids() == rebuilt_b.range_ids()
+    assert by_b.range_ids(-1, 9) == rebuilt_b.range_ids(-1, 9)
+    for columns in (("a",), ("a", "b")):  # key order follows insertions
+        assert dict(relation.indexes.hash_index(columns).groups()) == \
+            dict(fresh.indexes.hash_index(columns).groups())
+    for fd in (FunctionalDependency(lhs=("a",), rhs=("b",)),
+               FunctionalDependency(lhs=("a", "b"), rhs=("c",))):
+        assert fd.violations(relation) == fd.legacy_violations(relation)
+        assert fd.violating_tuples(relation) == \
+            fd.legacy_violating_tuples(relation)
+
+
+@pytest.mark.parametrize("full_every", [1, 25])
+@pytest.mark.parametrize("seed", range(3))
+def test_long_write_streams_match_rebuild(seed, full_every):
+    """200 interleaved inserts and deletes (negative indices included)
+    on up to 60 rows under two hash indexes and a sort index. Full
+    passes run after every op, or every 25th op so that stamps drift
+    across bursts of writes before a read renumbers them."""
+    rng = random.Random(seed)
+    relation = Relation(["a", "b", "c"], [
+        (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 2))
+        for __ in range(rng.randint(20, 40))
+    ], CountingSemiring(), name="stream")
+    _assert_indexes_match_rebuild(relation, rng, full=True)
+    for step in range(200):
+        n = len(relation)
+        if n and (n >= 60 or rng.random() < 0.5):
+            relation.delete(rng.randrange(-n, n))
+        else:
+            relation.insert((rng.randint(0, 9), rng.randint(0, 9),
+                             rng.randint(0, 2)))
+        if step == 100:  # out-of-band mutation, then the protocol call
+            relation.rows.pop(0)
+            relation.annotations.pop(0)
+            relation.rows[-1] = (9, 9, 2)
+            relation.invalidate_indexes()
+        _assert_indexes_match_rebuild(relation, rng,
+                                      full=step % full_every == 0)
