@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate, runnable locally and in CI: the full test suite, the
 # benchmark's own helper tests and a 1-second smoke run of each of its
-# workloads, the source lints, and the benchmark wall-time regression
-# guard.
+# workloads, the source lint (scripts/lint.py, all eight rules in one
+# pass), and the benchmark wall-time regression guard.
 # Referenced from ROADMAP.md ("Tier-1 verify"); exits non-zero on the
 # first failing step.
 set -eu
@@ -26,29 +26,8 @@ for workload in lineage_mixed batch_gbm datavalue_tmc serve_zipf; do
         --trace 0
 done
 
-echo "== tier-1: lint (no print) =="
-python scripts/check_no_print.py
-
-echo "== tier-1: lint (exception hygiene: src + tests) =="
-python scripts/check_exception_hygiene.py
-
-echo "== tier-1: lint (no bespoke shapley loops) =="
-python scripts/check_no_bespoke_shapley.py
-
-echo "== tier-1: lint (metric names + blessed timing) =="
-python scripts/check_metric_names.py
-
-echo "== tier-1: lint (no per-row explain loops) =="
-python scripts/check_batch_loops.py
-
-echo "== tier-1: lint (no naive row scans in the db layer) =="
-python scripts/check_db_scans.py
-
-echo "== tier-1: lint (no untimed blocking io in serve) =="
-python scripts/check_blocking_io.py
-
-echo "== tier-1: lint (persist protocol: to_dict/from_dict pairs, no stray pickle) =="
-python scripts/check_serializable.py
+echo "== tier-1: lint =="
+python scripts/lint.py
 
 echo "== tier-1: benchmark regression guard =="
 python scripts/bench_compare.py

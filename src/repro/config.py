@@ -102,12 +102,6 @@ _ROWS = (
     Setting("REPRO_COALITION_CACHE", bool, True, flag="--no-coalition-cache",
             doc="coalition-value caches of the games evaluator and "
                 "coalition engine; off disables every one"),
-    Setting("REPRO_BATCH_PLAN", bool, True,
-            "shared-coalition-plan path of explain_batch; off runs the "
-            "per-row loop (same bits)"),
-    Setting("REPRO_PRECOMPUTE", bool, True,
-            "cached TreeSHAP precompute and fused batch kernel; off runs "
-            "the per-instance recursion"),
     Setting("REPRO_RETRIES", int, 2, flag="--retries",
             doc="retries per model call after a transient failure"),
     Setting("REPRO_BACKOFF", float, 0.05, flag="--backoff",

@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import setting
 from ..exec import in_worker, map_shards, plan_shards, resolve_backend, \
     resolve_n_procs
 from ..obs import metrics
@@ -227,11 +226,10 @@ class AttributionExplainer(Explainer):
         :class:`repro.games.plan.CoalitionPlan` — bitwise-identical
         seeded attributions without per-row re-sampling. The fused path
         is skipped in favour of the per-row loop (``amortized=False`` on
-        the batch span) when ``REPRO_BATCH_PLAN=0``, when the batch has
-        a single row, when extra ``explain`` kwargs beyond
-        ``feature_names`` are passed, or when guard deadlines/query
-        budgets are configured (those are per-row semantics the fused
-        path cannot honour); a mid-fuse failure increments
+        the batch span) when the batch has a single row, when extra
+        ``explain`` kwargs beyond ``feature_names`` are passed, or when
+        guard deadlines/query budgets are configured (those are per-row
+        semantics the fused path cannot honour); a mid-fuse failure increments
         ``coalition.plan.fallbacks`` and falls back to the loop.
         """
         try:
@@ -288,7 +286,6 @@ class AttributionExplainer(Explainer):
             X.shape[0] >= 2
             and hasattr(self, "_amortized_rows")
             and set(kwargs) <= {"feature_names"}
-            and setting("REPRO_BATCH_PLAN")
             and self._amortized_supported()
             and not _budgets_configured(self.guard_config)
         ):

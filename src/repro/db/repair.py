@@ -18,6 +18,7 @@ and prioritizing repairs. Reproduced pieces:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -184,26 +185,33 @@ def greedy_repair(
             relation, dependencies, **responsibility_kwargs
         )
         ranking = sorted(responsibility, key=lambda i: -responsibility[i])
+    # Original ids of the surviving rows, ascending: a candidate's
+    # position in ``current`` is one bisect.
     keep = list(range(len(relation)))
     deleted: list[int] = []
     # One O(k) copy up front; each deletion then mutates it in place and
     # the FD hash indexes are maintained incrementally (no rebuild).
     current = relation.subset(keep)
-
+    # Positions of the tuples still in some violation, recomputed only
+    # after a deletion. It is empty exactly when every violation count
+    # is zero, so one pass decides both the stop and the skip.
+    violating: set[int] | None = None
     for candidate in ranking:
-        if _total_violations(current, dependencies) == 0:
-            break
+        position = bisect_left(keep, candidate)
+        if position == len(keep) or keep[position] != candidate:
+            continue
+        if violating is None:
+            violating = set()
+            for fd in dependencies:
+                violating |= fd.violating_tuples(current)
+            if not violating:
+                break
         # Deleting a tuple that no longer violates anything is wasted
         # repair budget: skip it (earlier deletions may have pacified it).
-        position = {original: local for local, original in enumerate(keep)}
-        if candidate not in position:
+        if position not in violating:
             continue
-        still_violating: set[int] = set()
-        for fd in dependencies:
-            still_violating |= fd.violating_tuples(current)
-        if position[candidate] not in still_violating:
-            continue
-        current.delete(position[candidate])
-        keep = [i for i in keep if i != candidate]
+        current.delete(position)
+        keep.pop(position)
         deleted.append(candidate)
+        violating = None
     return current, deleted

@@ -8,9 +8,9 @@ the same cached/chunked/guarded pipeline (:mod:`repro.games.engine`),
 estimates with a shared suite (:mod:`repro.games.estimators`), and
 adapts each workload in :mod:`repro.games.adapters`.
 
-A bespoke-loop lint (``scripts/check_no_bespoke_shapley.py``, enforced
-in tier-1) keeps new permutation-accumulation loops from growing back
-outside this package.
+A bespoke-loop lint (the ``bespoke-shapley`` rule of ``scripts/lint.py``,
+enforced in tier-1) keeps new permutation-accumulation loops from growing
+back outside this package.
 """
 
 from .adapters import (

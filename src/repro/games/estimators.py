@@ -74,11 +74,10 @@ __all__ = [
 ]
 
 
-def _resolve(game_or_fn, n_players, cache=None, max_batch_rows=None):
+def _resolve(game_or_fn, n_players):
     """``(value_fn, n, game)`` for either input convention."""
     game = as_game(game_or_fn, n_players)
-    v = game_value_function(game, cache=cache, max_batch_rows=max_batch_rows)
-    return v, game.n_players, game
+    return game_value_function(game), game.n_players, game
 
 
 # -- sharded execution helpers ------------------------------------------------
@@ -233,7 +232,6 @@ def all_coalitions(n: int) -> list[tuple[int, ...]]:
 def exact_enumeration(
     game_or_fn,
     n_players: int | None = None,
-    cache: bool | None = None,
     backend: str | None = None,
     n_shards: int | None = None,
     n_procs: int | None = None,
@@ -248,7 +246,7 @@ def exact_enumeration(
     :func:`_sharded_values`); the factorial-weighted reduction is always
     parent-side.
     """
-    value_fn, n_players, game = _resolve(game_or_fn, n_players, cache=cache)
+    value_fn, n_players, game = _resolve(game_or_fn, n_players)
     if n_players > 20:
         raise ValueError(
             f"exact Shapley over {n_players} players needs 2^{n_players} "
@@ -375,8 +373,6 @@ def permutation_estimator(
     empty_value: float | None = None,
     aggregate: str = "mean_walks",
     min_count: float = 1.0,
-    cache: bool | None = None,
-    max_batch_rows: int | None = None,
     backend: str | None = None,
     n_shards: int | None = None,
     n_procs: int | None = None,
@@ -457,11 +453,7 @@ def permutation_estimator(
     game = as_game(game_or_fn, n_players)
     n = game.n_players
     walk_fn = getattr(game, "walk_contributions", None)
-    value_fn = (
-        None
-        if walk_fn is not None
-        else game_value_function(game, cache=cache, max_batch_rows=max_batch_rows)
-    )
+    value_fn = None if walk_fn is not None else game_value_function(game)
     if rng is not None and resume_state is not None:
         raise ValueError(
             "resume_state requires the seeded stream; an explicit rng "
@@ -948,7 +940,6 @@ def kernel_wls_estimator(
     n_players: int | None = None,
     n_samples: int = 2048,
     seed: int = 0,
-    cache: bool | None = None,
     backend: str | None = None,
     n_shards: int | None = None,
     n_procs: int | None = None,
@@ -963,7 +954,7 @@ def kernel_wls_estimator(
     evaluated in sharded blocks (coalition choice and the WLS solve stay
     parent-side, so the estimate is bitwise-identical to serial).
     """
-    value_fn, n_players, game = _resolve(game_or_fn, n_players, cache=cache)
+    value_fn, n_players, game = _resolve(game_or_fn, n_players)
     rng = np.random.default_rng(seed)
     if n_players == 1:
         ends = value_fn(np.array([[False], [True]]))
@@ -992,7 +983,6 @@ def stratified_estimator(
     max_cardinality: int | None = None,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-    cache: bool | None = None,
 ) -> tuple[float, float]:
     """One player's Shapley value by stratified cardinality draws.
 
@@ -1001,7 +991,7 @@ def stratified_estimator(
     — distributional Shapley's one-sample estimator of the average over
     cardinalities. Returns ``(value, standard_error)``.
     """
-    value_fn, n, __ = _resolve(game_or_fn, n_players, cache=cache)
+    value_fn, n, __ = _resolve(game_or_fn, n_players)
     if not 0 <= player < n:
         raise IndexError(player)
     rng = rng if rng is not None else np.random.default_rng(seed)

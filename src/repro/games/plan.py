@@ -24,9 +24,6 @@ once, not per shard). Amortization is observable: building a plan bumps
 ``coalition.plan.built``, and every row served from an existing plan
 bumps ``coalition.plan.reused`` — the E42 bench and the ``/metrics``
 endpoint report the hit rate as ``reused / (built + reused)``.
-
-``REPRO_BATCH_PLAN=0`` kills the amortized path globally (explain_batch
-falls back to the per-row loop), mirroring ``REPRO_COALITION_CACHE``.
 """
 
 from __future__ import annotations

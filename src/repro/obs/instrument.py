@@ -29,7 +29,7 @@ __all__ = ["instrument_explainer"]
 _METHODS = ("explain", "explain_batch")
 
 # Latency histograms auto-fed by the wrappers (dotted-lowercase names,
-# see scripts/check_metric_names.py).
+# see the metric-names rule of scripts/lint.py).
 _WALL_HISTOGRAMS = {
     "explain": "explain.wall_ms",
     "explain_batch": "explain_batch.wall_ms",

@@ -30,7 +30,7 @@ Telemetry v2 adds the ops vocabulary the future service layer needs:
 * :class:`Gauge` holds a last-value measurement (worker utilization,
   shard imbalance) for the ``/metrics`` exposition endpoint.
 * :class:`observe_duration` is the blessed way to time a block into a
-  histogram; ``scripts/check_metric_names.py`` bans ad-hoc
+  histogram; the ``metric-names`` rule of ``scripts/lint.py`` bans ad-hoc
   ``time.perf_counter()`` timing outside ``repro.obs`` so every latency
   measurement flows through here (and therefore shows up in
   ``/metrics`` and the run ledger).
@@ -346,8 +346,8 @@ class observe_duration:
     call's duration is an attempt, not a latency sample). No-op when
     observability is disabled — one attribute load and one branch, the
     same bar :class:`repro.obs.trace.span` clears. This is the blessed
-    timing primitive: ``scripts/check_metric_names.py`` bans raw
-    ``time.perf_counter()`` timing outside ``repro.obs``.
+    timing primitive: the ``metric-names`` rule of ``scripts/lint.py``
+    bans raw ``time.perf_counter()`` timing outside ``repro.obs``.
     """
 
     __slots__ = ("_name", "_t0")

@@ -27,8 +27,8 @@ newer than the running code raises
 :class:`~repro.persist.errors.UnsupportedVersionError`; older versions
 pass through the class's optional ``migrate(payload, version)`` hook.
 
-The registry also powers ``scripts/check_serializable.py``: every
-registered class must define (or inherit) *both* halves of the pair —
+The ``persist`` rule of ``scripts/lint.py`` checks the registrations:
+every registered class must define (or inherit) *both* halves of the pair —
 a one-sided implementation is a latent deserialization outage.
 """
 

@@ -35,8 +35,7 @@ accumulation. Since the kernel is elementwise per row, fused results are
 bitwise-identical across backends, batch splits and batch sizes; only
 the scalar-vs-fused comparison carries the ulp caveat. Single-row
 ``explain`` stays on the scalar kernel (numpy per-node overhead only
-amortizes across rows); ``explain_batch`` uses the fused kernel, and
-``REPRO_PRECOMPUTE=0`` restores the per-instance scalar path there too.
+amortizes across rows); ``explain_batch`` uses the fused kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import setting
 from ..core.explanation import FeatureAttribution
 from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
 from ..obs import instrument_explainer
@@ -571,17 +569,12 @@ class TreeShapExplainer:
         bitwise-identical across backends and batch splits (the kernel
         is elementwise per row); against per-row ``explain`` they agree
         to float accumulation order (the fused kernel visits children
-        left-then-right, the scalar recursion hot-child-first). With
-        ``REPRO_PRECOMPUTE=0`` this degrades to the plain per-row
-        scalar loop.
+        left-then-right, the scalar recursion hot-child-first).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        use_pre = setting("REPRO_PRECOMPUTE")
         sp = current_span()
         if sp is not None:
-            sp.set_attr("amortized", bool(use_pre))
-        if not use_pre:
-            return [self.explain(x, feature_names=feature_names) for x in X]  # batch: allow
+            sp.set_attr("amortized", True)
         pre = self.precompute()
         names = feature_names or [f"x{i}" for i in range(X.shape[1])]
         n_trees = len(self._components)

@@ -11,10 +11,9 @@ pure performance change —
 * the fused TreeSHAP kernel is bitwise stable across backends and batch
   splits, and agrees with the scalar recursion to float accumulation
   order;
-* ``REPRO_BATCH_PLAN=0`` / ``REPRO_PRECOMPUTE=0`` restore the per-row
-  loop end to end, guard budgets keep their per-row semantics by
-  skipping the fused path, and a mid-fuse failure degrades to the loop
-  while counting ``coalition.plan.fallbacks``;
+* guard budgets keep their per-row semantics by skipping the fused
+  path, and a mid-fuse failure degrades to the loop while counting
+  ``coalition.plan.fallbacks``;
 * plan reuse is observable: ``coalition.plan.built`` / ``.reused``
   counters and the batch span's ``amortized`` attribute.
 """
@@ -115,21 +114,6 @@ def test_plan_counters_and_reuse(loan_data, loan_logistic):
         assert np.array_equal(a.values, b.values)
 
 
-def test_batch_plan_kill_switch(monkeypatch, loan_data, loan_logistic):
-    """REPRO_BATCH_PLAN=0 restores the per-row loop, same numbers."""
-    X = loan_data.X[:3]
-    amortized = make_explainer("sampling", loan_logistic,
-                               loan_data).explain_batch(X)
-    monkeypatch.setenv("REPRO_BATCH_PLAN", "0")
-    built = obs.counter("coalition.plan.built").value
-    looped = make_explainer("sampling", loan_logistic,
-                            loan_data).explain_batch(X)
-    assert obs.counter("coalition.plan.built").value == built
-    assert _batch_span().attrs["amortized"] is False
-    for a, b in zip(amortized, looped):
-        assert np.array_equal(a.values, b.values)
-
-
 def test_guard_budgets_keep_per_row_loop(loan_data, loan_logistic):
     """Per-row deadline/query budgets veto the fused path entirely."""
     explainer = SamplingShapleyExplainer(
@@ -167,7 +151,7 @@ def test_fused_failure_falls_back_and_counts(loan_data, loan_logistic):
 
 @pytest.mark.parametrize("backend", ("serial", "thread"))
 def test_non_finite_row_fails_alone_and_the_rest_stay_fused(
-        backend, monkeypatch, loan_data, loan_logistic):
+        backend, loan_data, loan_logistic):
     """A NaN row gets its own typed error before fusing; the other rows
     match the per-row loop bit for bit."""
     X = loan_data.X[:N_ROWS].copy()
@@ -183,10 +167,12 @@ def test_non_finite_row_fails_alone_and_the_rest_stay_fused(
     assert isinstance(row_error.error, InputValidationError)
     assert excinfo.value.completed_indices == [0, 1, 3, 4]
 
-    monkeypatch.setenv("REPRO_BATCH_PLAN", "0")
-    looped, loop_errors = make_explainer(
-        "sampling", loan_logistic, loan_data
+    # A query budget no row reaches keeps the per-row loop.
+    looped, loop_errors = SamplingShapleyExplainer(
+        loan_logistic, loan_data.X, n_permutations=8, max_background=20,
+        seed=5, guard=GuardConfig(query_budget=10**9),
     ).explain_batch(X, backend=backend, n_procs=2, return_errors=True)
+    assert _batch_span().attrs["amortized"] is False
     assert [e.index for e in loop_errors] == [2]
     assert str(loop_errors[0].error) == str(row_error.error)
     for i in (0, 1, 3, 4):
@@ -245,16 +231,6 @@ class TestTreeBatch:
             # not necessarily to the last ulp.
             assert np.allclose(att.values, scalar.values, atol=1e-9)
             assert att.base_value == scalar.base_value
-
-    def test_precompute_kill_switch(self, monkeypatch, loan_split, loan_gbm):
-        Xtr, __, __, __ = loan_split
-        X = Xtr[:4]
-        explainer = TreeShapExplainer(loan_gbm)
-        monkeypatch.setenv("REPRO_PRECOMPUTE", "0")
-        looped = explainer.explain_batch(X)
-        assert _batch_span().attrs["amortized"] is False
-        for x, att in zip(X, looped):
-            assert np.array_equal(explainer.explain(x).values, att.values)
 
     def test_precompute_shared_across_instances(self, loan_gbm):
         a = TreeShapExplainer(loan_gbm)

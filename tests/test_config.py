@@ -37,8 +37,6 @@ IDS = [row.name for row in ROWS]
 DEFAULTS = {
     "REPRO_MAX_BATCH_ROWS": 65_536,
     "REPRO_COALITION_CACHE": True,
-    "REPRO_BATCH_PLAN": True,
-    "REPRO_PRECOMPUTE": True,
     "REPRO_RETRIES": 2,
     "REPRO_BACKOFF": 0.05,
     "REPRO_DEADLINE_S": None,
@@ -103,7 +101,7 @@ def malformed(row) -> list[str]:
 
 
 def test_the_table_has_every_variable_once():
-    assert len(ROWS) == len(SETTINGS) == len(DEFAULTS) == 31
+    assert len(ROWS) == len(SETTINGS) == len(DEFAULTS) == 29
     assert set(SETTINGS) == set(DEFAULTS)
     for row in ROWS:
         assert row.type in (bool, int, float, str)

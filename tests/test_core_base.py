@@ -66,9 +66,9 @@ def test_raw_requires_decision_function():
         as_predict_fn(OnlyPredict(), output="raw")
 
 
-def test_explain_batch_matches_rowwise_explain(monkeypatch, loan_gbm,
-                                               loan_data):
+def test_explain_batch_matches_rowwise_explain(loan_gbm, loan_data):
     from repro import obs
+    from repro.robust import GuardConfig
     from repro.shapley import KernelShapExplainer
 
     explainer = KernelShapExplainer(loan_gbm, loan_data.X[:20],
@@ -95,9 +95,12 @@ def test_explain_batch_matches_rowwise_explain(monkeypatch, loan_gbm,
         assert parent.model_evals > 0
         assert parent.rows_evaluated > 0
 
-        # With the shared-plan path disabled, the per-row loop is
-        # restored: child spans reappear and their counters roll up.
-        monkeypatch.setenv("REPRO_BATCH_PLAN", "0")
+        # A query budget no row reaches keeps the per-row loop: child
+        # spans reappear and their counters roll up.
+        explainer = KernelShapExplainer(
+            loan_gbm, loan_data.X[:20], n_samples=32, seed=0,
+            guard=GuardConfig(query_budget=10**9),
+        )
         obs.get_tracer().reset()
         looped = explainer.explain_batch(X)
         for amortized_att, looped_att in zip(batch, looped):

@@ -101,3 +101,16 @@ class TestGreedyRepair:
         repaired, __ = greedy_repair(dirty_addresses, [FD, fd2])
         assert FD.violations(repaired) == 0
         assert fd2.violations(repaired) == 0
+
+    def test_repeated_and_clean_candidates_are_skipped(self, dirty_addresses):
+        # 3 is clean, 0 and 6 repeat, and 2 is pacified by the time it
+        # comes up; the deletions are the ones the two-pass loop made.
+        ranking = [3, 0, 0, 6, 1, 6, 2, 5, 4, 9, -1]
+        repaired, deleted = greedy_repair(
+            dirty_addresses, [FD], ranking=ranking
+        )
+        assert deleted == [0, 6, 1]
+        assert repaired.rows == [
+            ("10001", "boston", "c"), ("94105", "sf", "d"),
+            ("94105", "sf", "e"), ("60601", "chicago", "f"),
+        ]

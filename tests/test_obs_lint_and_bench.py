@@ -1,24 +1,27 @@
-"""Tier-1 enforcement of the no-print and exception-hygiene lints, the
-telemetry writers, and the benchmark wall-time regression guard."""
+"""Tier-1 enforcement of the repository's lints (``scripts/lint.py``),
+the telemetry writers, and the benchmark wall-time regression guard.
 
+The lint tests run the driver on fixture trees. In a fixture source, a
+trailing ``# <- <rule>`` comment marks a line that rule must report;
+every other line must pass. The driver itself is AST-based, so these
+comments are invisible to it.
+"""
+
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from repro.obs import bench
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LINT = os.path.join(REPO_ROOT, "scripts", "check_no_print.py")
-HYGIENE = os.path.join(REPO_ROOT, "scripts", "check_exception_hygiene.py")
-SHAPLEY_LINT = os.path.join(
-    REPO_ROOT, "scripts", "check_no_bespoke_shapley.py"
-)
-DB_SCAN_LINT = os.path.join(REPO_ROOT, "scripts", "check_db_scans.py")
-PERSIST_LINT = os.path.join(REPO_ROOT, "scripts", "check_serializable.py")
+LINT = os.path.join(REPO_ROOT, "scripts", "lint.py")
 BENCH_COMPARE = os.path.join(REPO_ROOT, "scripts", "bench_compare.py")
 
 
@@ -29,259 +32,512 @@ def _load_script(path, name):
     return module
 
 
-def _load_lint():
-    return _load_script(LINT, "check_no_print")
+lint = _load_script(LINT, "lint")
+
+_EXPECT = re.compile(r"# <- ([a-z-]+)")
+
+PRINT_FILES = {
+    "src/repro/print_catch.py": """
+        def f():
+            print("debug")  # <- no-print
+        # print(x) in a comment and 'print(' in a string are not calls
+        s = "print("
+    """,
+    # The human-output modules may print, at any depth.
+    "src/repro/cli.py": "print('fine')\n",
+    "src/repro/report.py": "print('fine')\n",
+    "src/repro/pipelines/render.py": "print('fine')\n",
+    # Out of scope: tests may print.
+    "tests/test_prints.py": "print('fine')\n",
+}
+
+HYGIENE_CATCH = {
+    "src/repro/hygiene_catch.py": """
+        try:
+            f()
+        except:  # <- exception-hygiene
+            handle()
+        try:
+            g()
+        except Exception:  # <- exception-hygiene
+            pass
+        try:
+            h()
+        except (ValueError, BaseException):  # <- exception-hygiene
+            ...
+    """,
+    "tests/test_hygiene_catch.py": """
+        def test_swallows():
+            try:
+                f()
+            except:  # <- exception-hygiene
+                pass
+    """,
+}
+
+HYGIENE_ALLOW = {
+    "src/repro/hygiene_allow.py": """
+        # Narrow types, even with pass bodies, show intent.
+        try:
+            f()
+        except (TypeError, ValueError):
+            pass
+        # Broad but visibly handled.
+        try:
+            g()
+        except Exception as e:
+            raise RuntimeError from e
+        # Broad and silent, but explicitly allowlisted.
+        try:
+            h()
+        except Exception:  # hygiene: allow
+            pass
+        # Strings mentioning the pattern are not handlers.
+        s = 'except:'
+    """,
+}
+
+SHAPLEY_CATCH = {
+    "src/repro/shapley_catch.py": """
+        def estimate(value_fn, n, rng):
+            sums = np.zeros(n)
+            for _ in range(10):
+                perm = rng.permutation(n)  # <- bespoke-shapley
+                for pos, point in enumerate(perm):
+                    sums[point] += value_fn(pos)
+            return sums / 10
+
+        # Taint flows through intermediate assignments and reversal too.
+        def indirect(v, n, rng):
+            phi = np.zeros(n)
+            order = rng.permutation(n)  # <- bespoke-shapley
+            walks = [order, order[::-1]]
+            for w in walks:
+                phi[w] += v(w)
+            return phi
+    """,
+}
+
+SHAPLEY_ALLOW = {
+    "src/repro/shapley_allow.py": """
+        # Shuffled minibatch SGD: the permutation orders rows, but the
+        # accumulation index is a plain loop variable (the MLP pattern).
+        def fit(X, y, rng, grads):
+            idx = rng.permutation(len(X))
+            for i in range(3):
+                grads[i] += X[idx].sum()
+            return grads
+
+        # A permutation used for a baseline, assigned, not accumulated.
+        def baseline(scores, rng):
+            out = {}
+            perm = rng.permutation(len(scores))
+            out['shuffled'] = scores[perm]
+            return out
+
+        # An allow-marked legacy implementation.
+        def legacy(v, n, rng):
+            sums = np.zeros(n)
+            perm = rng.permutation(n)  # games: allow
+            for p in perm:
+                sums[p] += v(p)
+            return sums
+    """,
+    # The games package is where the one walk loop lives.
+    "src/repro/games/estimators.py": """
+        def walk(v, n, rng, sums):
+            perm = rng.permutation(n)
+            for p in perm:
+                sums[p] += v(p)
+    """,
+    # Out of scope: tests may loop.
+    "tests/test_shapley_loop.py": """
+        def test_walk(v, n, rng, sums):
+            perm = rng.permutation(n)
+            for p in perm:
+                sums[p] += v(p)
+    """,
+}
+
+METRIC_CATCH = {
+    "src/repro/metric_catch.py": """
+        import time
+
+        def f(metrics):
+            metrics.counter("Bad")  # <- metric-names
+            histogram("no_dots")  # <- metric-names
+            return time.perf_counter()  # <- metric-names
+    """,
+}
+
+METRIC_ALLOW = {
+    "src/repro/metric_allow.py": """
+        import time
+        from time import perf_counter
+
+        def f(metrics, name):
+            metrics.counter("serve.cache.hits")
+            gauge(name)  # non-literal names pass through helpers
+            t0 = time.perf_counter()  # obs: allow
+            return perf_counter() - t0  # obs: allow
+    """,
+    # The obs package owns the timing primitives; the naming half still
+    # applies inside it.
+    "src/repro/obs/clock.py": """
+        import time
+
+        def now(metrics):
+            metrics.gauge("Obs-Bad")  # <- metric-names
+            return time.perf_counter()
+    """,
+}
+
+BATCH_CATCH = {
+    "src/repro/batch_catch.py": """
+        def per_row(explainer, X):
+            out = [explainer.explain(x) for x in X]  # <- batch-loops
+            for x in X:
+                out.append(explainer.explain(x))  # <- batch-loops
+            while X:
+                explainer.explain(X.pop())  # <- batch-loops
+            return out
+    """,
+}
+
+BATCH_ALLOW = {
+    "src/repro/batch_allow.py": """
+        def sweep(explainer, X):
+            for seed in range(3):  # batch: allow
+                explainer.explain(X[0], seed=seed)
+            return [explainer.explain(x) for x in X]  # batch: allow
+
+        # A worker defined inside a loop is dispatch machinery, not a
+        # per-row loop.
+        def workers(explainer, X):
+            jobs = []
+            for x in X:
+                def job(x=x):
+                    return explainer.explain(x)
+                jobs.append(job)
+            thunks = [lambda x=x: explainer.explain(x) for x in X]
+            return jobs, thunks, explainer.explain(X[0])
+    """,
+    # Out of scope: tests may loop.
+    "tests/test_batch_loop.py": """
+        def test_rows(explainer, X):
+            return [explainer.explain(x) for x in X]
+    """,
+}
+
+DB_CATCH = {
+    "src/repro/db/scan_catch.py": """
+        def pick(relation, predicate):
+            out = [i for i, r in enumerate(relation.rows)  # <- db-scans
+                   if predicate(r)]
+            for row in sorted(relation.rows):  # <- db-scans
+                out.append(row)
+            return out
+    """,
+}
+
+DB_ALLOW = {
+    "src/repro/db/scan_allow.py": """
+        # legacy_* oracles scan by design (differential-test baselines),
+        # and so do the functions nested in them.
+        def legacy_pick(relation, p):
+            def inner():
+                return [r for r in relation.rows if p(r)]
+            return inner()
+
+        # Point lookups over index-provided ids are not scans.
+        def per_group(relation, members):
+            return [relation.rows[i] for i in members]
+
+        # Non-selection loops opt out on the scan line or the header.
+        def render(relation):
+            return [str(r) for r in relation.rows]  # db: allow
+
+        def dump(relation):
+            for row in (  # db: allow
+                relation.rows
+            ):
+                yield row
+    """,
+    # The physical layer itself is exempt.
+    "src/repro/db/planner.py": """
+        def scan(relation, p):
+            return [r for r in relation.rows if p(r)]
+    """,
+    "src/repro/db/relation.py": """
+        def scan(relation):
+            for row in relation.rows:
+                yield row
+    """,
+    "src/repro/db/index.py": """
+        def build(relation):
+            return {r[0]: i for i, r in enumerate(relation.rows)}
+    """,
+    # Out of scope: the rest of the library.
+    "src/repro/db_outside.py": """
+        def scan(relation):
+            return [r for r in relation.rows]
+    """,
+}
+
+SERVE_CATCH = {
+    "src/repro/serve/io_catch.py": """
+        import time
+
+        def handler(event, sock, lock):
+            event.wait()  # <- blocking-io
+            sock.settimeout(None)  # <- blocking-io
+            time.sleep(0.1)  # <- blocking-io
+            lock.acquire()  # <- blocking-io
+    """,
+}
+
+SERVE_ALLOW = {
+    "src/repro/serve/io_allow.py": """
+        import time
+
+        def handler(event, sock, lock, fut):
+            event.wait(1.0)
+            lock.acquire(blocking=False)
+            fut.result(timeout=2)
+            sock.settimeout(5.0)
+            event.wait()  # serve: allow
+            return get()  # a bare function, not a blocking method
+
+        def retry_with_backoff(delay):
+            time.sleep(delay)
+
+        def _backoff_helpers():
+            def pause(delay):
+                time.sleep(delay)
+            return pause
+    """,
+    # Out of scope: the rest of the library.
+    "src/repro/serve_outside.py": """
+        def wait_for(event):
+            event.wait()
+    """,
+}
+
+PERSIST_CATCH = {
+    "src/repro/persist_catch.py": """
+        import pickle  # <- persist
+        from pickle import dumps  # <- persist
+
+        @register_serializable("core.Broken")
+        class Broken:  # <- persist
+            def to_dict(self):
+                return {}
+    """,
+}
+
+PERSIST_ALLOW = {
+    "src/repro/persist_allow.py": """
+        import pickle as fallback  # persist: allow
+
+        @register_serializable("core.Thing")
+        class Thing(Serializable):
+            pass
+
+        class Base:
+            def to_dict(self):
+                return {}
+
+            @classmethod
+            def from_dict(cls, d):
+                return cls()
+
+        @persist.register_serializable("core.Child")
+        class Child(Base):
+            def to_dict(self):
+                return {"child": True}
+    """,
+    # Same-named class elsewhere, unregistered and without the pair: the
+    # registered Child still resolves Base in its own module.
+    "src/repro/z_other.py": """
+        class Base:
+            pass
+    """,
+    # The spawn backend's transport may pickle.
+    "src/repro/exec/transport.py": "import pickle\n",
+    # Out of scope: tests may pickle.
+    "tests/test_pickles.py": "import pickle\n",
+}
+
+FIXTURE = {
+    **PRINT_FILES, **HYGIENE_CATCH, **HYGIENE_ALLOW, **SHAPLEY_CATCH,
+    **SHAPLEY_ALLOW, **METRIC_CATCH, **METRIC_ALLOW, **BATCH_CATCH,
+    **BATCH_ALLOW, **DB_CATCH, **DB_ALLOW, **SERVE_CATCH, **SERVE_ALLOW,
+    **PERSIST_CATCH, **PERSIST_ALLOW,
+}
 
 
-def test_src_repro_is_print_free():
-    """Diagnostics must flow through repro.obs, not stdout."""
-    result = subprocess.run(
-        [sys.executable, LINT],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
+def _write(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text).lstrip("\n"), encoding="utf-8")
+
+
+def _lint(root, files):
+    """``{(rule, rel, line)}`` the driver reports on ``files``."""
+    _write(root, files)
+    return {
+        (f.rule, os.path.relpath(f.path, root).replace(os.sep, "/"), f.line)
+        for f in lint.run(str(root))
+    }
+
+
+def _marked(files):
+    """``{(rule, rel, line)}`` of the ``# <- rule`` marks in ``files``."""
+    return {
+        (match.group(1), rel, n)
+        for rel, text in files.items()
+        for n, line in enumerate(
+            textwrap.dedent(text).lstrip("\n").splitlines(), 1
+        )
+        for match in _EXPECT.finditer(line)
+    }
 
 
 def test_lint_catches_a_bare_print(tmp_path):
-    lint = _load_lint()
-    bad = tmp_path / "module.py"
-    bad.write_text("def f():\n    print('debug')\n", encoding="utf-8")
-    assert lint.offenders(str(tmp_path)) == [f"{bad}:2"]
-    # Strings/comments mentioning print( must not trip the AST walk,
-    # and the human-output modules stay exempt.
-    ok = tmp_path / "clean.py"
-    ok.write_text("# print(x)\ns = 'print('\n", encoding="utf-8")
-    allowed = tmp_path / "cli.py"
-    allowed.write_text("print('fine')\n", encoding="utf-8")
-    assert lint.offenders(str(tmp_path)) == [f"{bad}:2"]
-
-
-def test_src_repro_has_clean_exception_hygiene():
-    """No bare excepts or silent broad handlers in the library — or in
-    the test suite (the no-arg default scans both roots)."""
-    result = subprocess.run(
-        [sys.executable, HYGIENE],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
+    """Only src/repro is in scope, minus the human-output modules."""
+    found = _lint(tmp_path, PRINT_FILES)
+    assert found == {("no-print", "src/repro/print_catch.py", 2)}
+    assert found == _marked(PRINT_FILES)
 
 
 def test_hygiene_lint_scans_multiple_roots(tmp_path):
-    hygiene = _load_script(HYGIENE, "check_exception_hygiene")
-    clean = tmp_path / "clean"
-    dirty = tmp_path / "dirty"
-    clean.mkdir()
-    dirty.mkdir()
-    (clean / "a.py").write_text("x = 1\n", encoding="utf-8")
-    (dirty / "b.py").write_text("try:\n    f()\nexcept:\n    pass\n",
-                                encoding="utf-8")
-    assert hygiene.main([str(clean)]) == 0
-    # Any number of explicit roots; one dirty root fails the run.
-    assert hygiene.main([str(clean), str(dirty)]) == 1
+    """The hygiene rule covers the tests as well as the library."""
+    found = _lint(tmp_path, HYGIENE_CATCH)
+    assert {rel for __, rel, __ in found} == set(HYGIENE_CATCH)
 
 
 def test_hygiene_lint_catches_silent_handlers(tmp_path):
-    hygiene = _load_script(HYGIENE, "check_exception_hygiene")
-    bad = tmp_path / "module.py"
-    bad.write_text(
-        "try:\n    f()\nexcept:\n    handle()\n"
-        "try:\n    g()\nexcept Exception:\n    pass\n"
-        "try:\n    h()\nexcept (ValueError, BaseException):\n    ...\n",
-        encoding="utf-8",
-    )
-    found = hygiene.offenders(str(tmp_path))
-    assert [f.split(" ", 1) for f in found] == [
-        [f"{bad}:3", "bare except:"],
-        [f"{bad}:7", "except Exception with silent (pass-only) body"],
-        [f"{bad}:11", "except Exception with silent (pass-only) body"],
-    ]
+    found = _lint(tmp_path, HYGIENE_CATCH)
+    assert found == _marked(HYGIENE_CATCH)
+    reasons = sorted(f.reason for f in lint.run(str(tmp_path)))
+    assert reasons == ["bare except:"] * 2 + [
+        "except Exception with silent (pass-only) body"
+    ] * 2
 
 
 def test_hygiene_lint_accepts_handled_and_allowlisted(tmp_path):
-    hygiene = _load_script(HYGIENE, "check_exception_hygiene")
-    ok = tmp_path / "clean.py"
-    ok.write_text(
-        # Narrow types, even with pass bodies, show intent.
-        "try:\n    f()\nexcept (TypeError, ValueError):\n    pass\n"
-        # Broad but visibly handled.
-        "try:\n    g()\nexcept Exception as e:\n    raise RuntimeError from e\n"
-        # Broad + silent, but explicitly allowlisted.
-        "try:\n    h()\nexcept Exception:  # hygiene: allow\n    pass\n"
-        # Strings mentioning the pattern must not trip the AST walk.
-        "s = 'except:'\n",
-        encoding="utf-8",
-    )
-    assert hygiene.offenders(str(tmp_path)) == []
-
-
-def test_src_repro_has_no_bespoke_shapley_loops():
-    """Permutation-accumulation loops must live in repro.games only."""
-    result = subprocess.run(
-        [sys.executable, SHAPLEY_LINT],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
+    assert _lint(tmp_path, HYGIENE_ALLOW) == set()
 
 
 def test_shapley_lint_catches_bespoke_loops(tmp_path):
-    lint = _load_script(SHAPLEY_LINT, "check_no_bespoke_shapley")
-    bad = tmp_path / "module.py"
-    bad.write_text(
-        "def estimate(value_fn, n, rng):\n"
-        "    sums = np.zeros(n)\n"
-        "    for _ in range(10):\n"
-        "        perm = rng.permutation(n)\n"
-        "        for pos, point in enumerate(perm):\n"
-        "            sums[point] += value_fn(pos)\n"
-        "    return sums / 10\n",
-        encoding="utf-8",
-    )
-    found = lint.offenders(str(tmp_path))
-    assert len(found) >= 1 and all(f"{bad}:4 " in f for f in found)
-    # Taint flows through intermediate assignments and reversal too.
-    indirect = tmp_path / "indirect.py"
-    indirect.write_text(
-        "def estimate(v, n, rng):\n"
-        "    phi = np.zeros(n)\n"
-        "    order = rng.permutation(n)\n"
-        "    walks = [order, order[::-1]]\n"
-        "    for w in walks:\n"
-        "        phi[w] += v(w)\n"
-        "    return phi\n",
-        encoding="utf-8",
-    )
-    found = lint.offenders(str(tmp_path))
-    assert any(f"{indirect}:3 " in f for f in found)
+    assert _lint(tmp_path, SHAPLEY_CATCH) == _marked(SHAPLEY_CATCH)
 
 
 def test_shapley_lint_accepts_benign_uses(tmp_path):
-    lint = _load_script(SHAPLEY_LINT, "check_no_bespoke_shapley")
-    ok = tmp_path / "clean.py"
-    ok.write_text(
-        # Shuffled minibatch SGD: the permutation orders rows, but the
-        # accumulation index is a plain loop variable (the MLP pattern).
-        "def fit(X, y, rng, grads):\n"
-        "    idx = rng.permutation(len(X))\n"
-        "    for i in range(3):\n"
-        "        grads[i] += X[idx].sum()\n"
-        "    return grads\n"
-        # Permutation used for a baseline, assigned (not accumulated).
-        "def baseline(scores, rng):\n"
-        "    out = {}\n"
-        "    perm = rng.permutation(len(scores))\n"
-        "    out['shuffled'] = scores[perm]\n"
-        "    return out\n"
-        # Allow-marked legacy implementation.
-        "def legacy(v, n, rng):\n"
-        "    sums = np.zeros(n)\n"
-        "    perm = rng.permutation(n)  # games: allow\n"
-        "    for p in perm:\n"
-        "        sums[p] += v(p)\n"
-        "    return sums\n",
-        encoding="utf-8",
-    )
-    assert lint.offenders(str(tmp_path)) == []
-    # The games package itself is exempt (that is where the loop lives).
-    games_dir = tmp_path / "repro" / "games"
-    games_dir.mkdir(parents=True)
-    (games_dir / "estimators.py").write_text(
-        "def walk(v, n, rng, sums):\n"
-        "    perm = rng.permutation(n)\n"
-        "    for p in perm:\n"
-        "        sums[p] += v(p)\n",
-        encoding="utf-8",
-    )
-    assert lint.offenders(str(tmp_path)) == []
+    assert _lint(tmp_path, SHAPLEY_ALLOW) == set()
 
 
-def test_src_repro_db_has_no_naive_row_scans():
-    """db consumers must go through the planner / index layer."""
-    result = subprocess.run(
-        [sys.executable, DB_SCAN_LINT],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
+def test_metric_lint_catches_bad_names_and_raw_timing(tmp_path):
+    assert _lint(tmp_path, METRIC_CATCH) == _marked(METRIC_CATCH)
+
+
+def test_metric_lint_accepts_obs_timing_and_marked_lines(tmp_path):
+    found = _lint(tmp_path, METRIC_ALLOW)
+    assert found == {("metric-names", "src/repro/obs/clock.py", 4)}
+    assert found == _marked(METRIC_ALLOW)
+
+
+def test_batch_lint_catches_per_row_loops(tmp_path):
+    assert _lint(tmp_path, BATCH_CATCH) == _marked(BATCH_CATCH)
+
+
+def test_batch_lint_accepts_marked_loops_and_workers(tmp_path):
+    assert _lint(tmp_path, BATCH_ALLOW) == set()
 
 
 def test_db_scan_lint_catches_row_loops(tmp_path):
-    lint = _load_script(DB_SCAN_LINT, "check_db_scans")
-    bad = tmp_path / "module.py"
-    bad.write_text(
-        "def pick(relation, predicate):\n"
-        "    out = [i for i, r in enumerate(relation.rows)\n"
-        "           if predicate(r)]\n"
-        "    for row in sorted(relation.rows):\n"
-        "        out.append(row)\n"
-        "    return out\n",
-        encoding="utf-8",
-    )
-    found = lint.offenders(str(tmp_path))
+    found = _lint(tmp_path, DB_CATCH)
     # Both the comprehension and the sorted()-wrapped for loop.
-    assert len(found) == 2
-    assert all("O(n) scan over Relation.rows" in f for f in found)
-    assert any(f"{bad}:2 " in f for f in found)
-    assert any(f"{bad}:4 " in f for f in found)
+    assert found == {("db-scans", "src/repro/db/scan_catch.py", line)
+                     for line in (2, 4)}
+    assert found == _marked(DB_CATCH)
 
 
 def test_db_scan_lint_accepts_sanctioned_scans(tmp_path):
-    lint = _load_script(DB_SCAN_LINT, "check_db_scans")
-    ok = tmp_path / "module.py"
-    ok.write_text(
-        # legacy_* oracles scan by design (differential-test baselines).
-        "def legacy_pick(relation, p):\n"
-        "    return [r for r in relation.rows if p(r)]\n"
-        # Point lookups over index-provided ids are not scans.
-        "def per_group(relation, members):\n"
-        "    return [relation.rows[i] for i in members]\n"
-        # Non-selection loops opt out with the marker.
-        "def render(relation):\n"
-        "    return [str(r) for r in relation.rows]  # db: allow\n",
-        encoding="utf-8",
-    )
-    assert lint.offenders(str(tmp_path)) == []
-    # The physical layer itself (relation/index/planner) is exempt.
-    physical = tmp_path / "planner.py"
-    physical.write_text(
-        "def scan(relation, p):\n"
-        "    return [r for r in relation.rows if p(r)]\n",
-        encoding="utf-8",
-    )
-    assert lint.offenders(str(tmp_path)) == []
+    assert _lint(tmp_path, DB_ALLOW) == set()
+
+
+def test_blocking_io_lint_catches_untimed_calls(tmp_path):
+    assert _lint(tmp_path, SERVE_CATCH) == _marked(SERVE_CATCH)
+
+
+def test_blocking_io_lint_accepts_bounded_calls(tmp_path):
+    assert _lint(tmp_path, SERVE_ALLOW) == set()
+
+
+def test_persist_lint_catches_stray_pickle_and_missing_pairs(tmp_path):
+    assert _lint(tmp_path, PERSIST_CATCH) == _marked(PERSIST_CATCH)
 
 
 def test_persist_lint_resolves_names_own_module_first(tmp_path):
     """An unrelated same-named class in another module must not shadow
-    a registered class's own definition (db.planner.Predicate vs the
-    registered core.Predicate)."""
-    lint = _load_script(PERSIST_LINT, "check_serializable")
-    good = tmp_path / "a_core.py"
-    good.write_text(
-        "@register_serializable('core.Thing')\n"
-        "class Thing(Serializable):\n"
-        "    pass\n",
-        encoding="utf-8",
+    a registered class's own bases (db.planner.Predicate vs the
+    registered core.Predicate); exec/ and the tests may pickle."""
+    assert _lint(tmp_path, PERSIST_ALLOW) == set()
+
+
+def test_fixture_tree_reports_exactly_the_marked_lines(tmp_path):
+    """Every rule over one tree: no rule reports another rule's case."""
+    found = _lint(tmp_path, FIXTURE)
+    assert found == _marked(FIXTURE)
+    assert {rule for rule, __, __ in found} == {r.name for r in lint.RULES}
+
+
+def test_lint_report_groups_findings_under_hints(tmp_path, capsys):
+    _write(tmp_path, {**PRINT_FILES, **SERVE_CATCH})
+    findings = lint.run(str(tmp_path))
+    assert lint.report(findings) == 1
+    err = capsys.readouterr().err.splitlines()
+    bad = os.path.join(str(tmp_path), "src", "repro", "print_catch.py")
+    assert err[:2] == [
+        lint.RULES[0].hint + ":", f"  {bad}:2 bare print() call",
+    ]
+    assert err[2] == "blocking-io lint failures:" and len(err) == 7
+    assert lint.report([]) == 0
+
+
+def test_repository_passes_every_rule():
+    """The repository itself is clean under all eight rules, and the
+    driver takes no arguments."""
+    result = subprocess.run(
+        [sys.executable, LINT], capture_output=True, text=True,
     )
-    shadow = tmp_path / "z_planner.py"
-    shadow.write_text(
-        "class Thing:\n"  # unregistered, no to_dict/from_dict — fine
-        "    pass\n",
-        encoding="utf-8",
+    assert result.returncode == 0, result.stderr
+    result = subprocess.run(
+        [sys.executable, LINT, "src/repro"], capture_output=True, text=True,
     )
-    assert lint.offenders(str(tmp_path)) == []
-    # A registered class genuinely missing the pair still fails.
-    bad = tmp_path / "a_core.py"
-    bad.write_text(
-        "@register_serializable('core.Thing')\n"
-        "class Thing:\n"
-        "    pass\n",
-        encoding="utf-8",
-    )
-    found = lint.offenders(str(tmp_path))
-    assert len(found) == 1 and "Thing" in found[0]
+    assert result.returncode == 2 and "no arguments" in result.stderr
+
+
+def test_lint_parses_each_file_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(lint.ast, "parse", counting_parse)
+    assert lint.run() == []
+    files = [
+        os.path.join(dirpath, name)
+        for top in lint.SCANNED
+        for dirpath, __, names in os.walk(os.path.join(REPO_ROOT, top))
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert sorted(parsed) == sorted(files)
 
 
 def test_atomic_write_replaces_not_appends(tmp_path):
