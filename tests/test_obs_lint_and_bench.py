@@ -520,6 +520,38 @@ def test_repository_passes_every_rule():
     assert result.returncode == 2 and "no arguments" in result.stderr
 
 
+@pytest.fixture(scope="module")
+def repo_findings():
+    """One driver run over the repository, shared by the per-rule tests."""
+    return lint.run()
+
+
+def _findings_of(findings, rule):
+    assert rule in {r.name for r in lint.RULES}
+    return [f"{f.path}:{f.line} {f.reason}" for f in findings if f.rule == rule]
+
+
+def test_src_repro_is_print_free(repo_findings):
+    """Diagnostics must flow through repro.obs, not stdout."""
+    assert _findings_of(repo_findings, "no-print") == []
+
+
+def test_src_repro_has_clean_exception_hygiene(repo_findings):
+    """No bare excepts or silent broad handlers in the library, or in
+    the test suite."""
+    assert _findings_of(repo_findings, "exception-hygiene") == []
+
+
+def test_src_repro_has_no_bespoke_shapley_loops(repo_findings):
+    """Permutation-accumulation loops must live in repro.games only."""
+    assert _findings_of(repo_findings, "bespoke-shapley") == []
+
+
+def test_src_repro_db_has_no_naive_row_scans(repo_findings):
+    """db consumers must go through the planner / index layer."""
+    assert _findings_of(repo_findings, "db-scans") == []
+
+
 def test_lint_parses_each_file_once(monkeypatch):
     parsed = []
     real_parse = ast.parse
