@@ -75,6 +75,23 @@ def view_sampling_shap(attr) -> dict:
     }
 
 
+def case_gbm_sampling_shap(backend: str | None = None):
+    # The 25-tree loan GBM that perfbench's batch_gbm and the benchmarks'
+    # loan_setup fit: the one golden that holds a tree model's predict
+    # (and the model's walk tables through pickle) to the backends.
+    from repro.datasets import make_loan_dataset
+    from repro.models import GradientBoostingClassifier
+    from repro.shapley.sampling import SamplingShapleyExplainer
+
+    data = make_loan_dataset(600, seed=7)
+    gbm = GradientBoostingClassifier(n_estimators=25, max_depth=3,
+                                     seed=0).fit(data.X, data.y)
+    return SamplingShapleyExplainer(gbm, data.X, n_permutations=10,
+                                    max_background=20, seed=0,
+                                    backend=backend,
+                                    n_procs=2).explain(data.X[0])
+
+
 def case_tmc_datashapley(backend: str | None = None):
     from repro.datavalue.data_shapley import tmc_shapley
     from repro.datavalue.utility import UtilityFunction
@@ -218,6 +235,7 @@ def case_db_plans(backend: str | None = None):
 CASES = {
     "kernel_shap": case_kernel_shap,
     "sampling_shap": case_sampling_shap,
+    "gbm_sampling_shap": case_gbm_sampling_shap,
     "tmc_datashapley": case_tmc_datashapley,
     "tuple_shapley": case_tuple_shapley,
     "causal_shapley": case_causal_shapley,
@@ -229,6 +247,7 @@ CASES = {
 VIEWS = {
     "kernel_shap": view_kernel_shap,
     "sampling_shap": view_sampling_shap,
+    "gbm_sampling_shap": view_sampling_shap,
     "tmc_datashapley": view_tmc_datashapley,
     "causal_shapley": view_causal_shapley,
     "lime": view_lime,

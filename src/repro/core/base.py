@@ -130,6 +130,62 @@ def as_predict_fn(model, output: str = "auto",
     return wrapped
 
 
+def batch_matrix(X) -> np.ndarray:
+    """``X`` as a non-empty 2-D float batch, else
+    :class:`InputValidationError`."""
+    try:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+    except (TypeError, ValueError) as e:
+        raise InputValidationError(
+            f"X is not convertible to a float matrix: {e}"
+        ) from e
+    if X.size == 0:
+        raise InputValidationError(
+            f"explain_batch needs a non-empty batch, got shape {X.shape}"
+        )
+    return X
+
+
+def screen_rows(X: np.ndarray, n_features: int | None = None):
+    """Fail the rows :func:`check_instance` refuses before any batch work.
+
+    Returns one ``(result, error)`` outcome per row, a
+    :class:`BatchRowError` for each row with a non-finite entry (for
+    every row when the batch is not ``n_features`` wide) and
+    ``(None, None)`` for the rest, and the indices of the rows that
+    passed.
+    """
+    outcomes = [(None, None)] * X.shape[0]
+    ok = np.isfinite(X).all(axis=1)
+    if n_features is not None and X.shape[1] != n_features:
+        ok[:] = False
+    for i in np.flatnonzero(~ok):
+        try:
+            check_instance(X[i], n_features)
+        except InputValidationError as e:
+            outcomes[i] = (None, BatchRowError(index=int(i), error=e))
+    return outcomes, np.flatnonzero(ok)
+
+
+def finish_batch(outcomes: list, return_errors: bool):
+    """End a batch by the partial-batch contract.
+
+    Failed rows count on ``robust.rows_failed``. Returns the results
+    (``None`` where a row failed) and, with ``return_errors``, the
+    :class:`BatchRowError` list beside them; without it, any failure
+    raises :class:`PartialBatchError` carrying the partial results.
+    """
+    results = [res for res, __ in outcomes]
+    errors = [err for __, err in outcomes if err is not None]
+    if errors:
+        metrics.counter(_ROWS_FAILED).inc(len(errors))
+    if return_errors:
+        return results, errors
+    if errors:
+        raise PartialBatchError(partial=results, errors=errors)
+    return results
+
+
 def _scope_wrap(fn):
     """Open a fresh per-explanation guard scope around an entry point."""
 
@@ -232,16 +288,7 @@ class AttributionExplainer(Explainer):
         semantics the fused path cannot honour); a mid-fuse failure increments
         ``coalition.plan.fallbacks`` and falls back to the loop.
         """
-        try:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-        except (TypeError, ValueError) as e:
-            raise InputValidationError(
-                f"X is not convertible to a float matrix: {e}"
-            ) from e
-        if X.size == 0:
-            raise InputValidationError(
-                f"explain_batch needs a non-empty batch, got shape {X.shape}"
-            )
+        X = batch_matrix(X)
         backend_name = resolve_backend(backend)
 
         def run_row(i: int, x: np.ndarray):
@@ -258,15 +305,7 @@ class AttributionExplainer(Explainer):
                 outcomes = self._run_batch_sharded(
                     X, run_row, n_procs, backend_name
                 )
-        results = [res for res, __ in outcomes]
-        errors = [err for __, err in outcomes if err is not None]
-        if errors:
-            metrics.counter(_ROWS_FAILED).inc(len(errors))
-        if return_errors:
-            return results, errors
-        if errors:
-            raise PartialBatchError(partial=results, errors=errors)
-        return results
+        return finish_batch(outcomes, return_errors)
 
     def _try_amortized(self, X, backend_name, n_procs, kwargs):
         """Run the shared-plan batch path if eligible, else ``None``.
@@ -289,14 +328,7 @@ class AttributionExplainer(Explainer):
             and self._amortized_supported()
             and not _budgets_configured(self.guard_config)
         ):
-            outcomes = [(None, None)] * X.shape[0]
-            finite = np.isfinite(X).all(axis=1)
-            for i in np.flatnonzero(~finite):
-                try:
-                    check_instance(X[i])
-                except InputValidationError as e:
-                    outcomes[i] = (None, BatchRowError(index=int(i), error=e))
-            keep = np.flatnonzero(finite)
+            outcomes, keep = screen_rows(X)
             try:
                 if keep.size:
                     results = self._run_amortized(

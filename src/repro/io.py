@@ -160,28 +160,6 @@ def load_explanation(text: str):
 # -- models ------------------------------------------------------------------------
 
 
-def _tree_to_dict(structure: TreeStructure) -> dict:
-    return {
-        "feature": list(structure.feature),
-        "threshold": list(structure.threshold),
-        "children_left": list(structure.children_left),
-        "children_right": list(structure.children_right),
-        "value": [v.tolist() for v in structure.value],
-        "n_node_samples": list(structure.n_node_samples),
-    }
-
-
-def _tree_from_dict(payload: dict) -> TreeStructure:
-    structure = TreeStructure()
-    structure.feature = [int(v) for v in payload["feature"]]
-    structure.threshold = [float(v) for v in payload["threshold"]]
-    structure.children_left = [int(v) for v in payload["children_left"]]
-    structure.children_right = [int(v) for v in payload["children_right"]]
-    structure.value = [np.asarray(v, dtype=float) for v in payload["value"]]
-    structure.n_node_samples = [float(v) for v in payload["n_node_samples"]]
-    return structure
-
-
 def dump_model(model) -> str:
     """Serialize a fitted model to a JSON string."""
     if isinstance(model, (RidgeRegression, LinearRegression)):
@@ -199,19 +177,17 @@ def dump_model(model) -> str:
             "intercept": model.intercept_,
             "classes": _jsonable(list(model.classes_)),
         }
-    elif isinstance(model, DecisionTreeClassifier):
+    elif isinstance(model, (DecisionTreeClassifier, DecisionTreeRegressor)):
+        classifier = isinstance(model, DecisionTreeClassifier)
+        tree = model.tree_.to_dict()
+        tree["value"] = tree["value"].tolist()  # nested lists in the JSON
         payload = {
-            "type": "tree_classifier",
-            "tree": _tree_to_dict(model.tree_),
-            "classes": _jsonable(list(model.classes_)),
-            "n_features": model.n_features_,
+            "type": "tree_classifier" if classifier else "tree_regressor",
+            "tree": tree,
         }
-    elif isinstance(model, DecisionTreeRegressor):
-        payload = {
-            "type": "tree_regressor",
-            "tree": _tree_to_dict(model.tree_),
-            "n_features": model.n_features_,
-        }
+        if classifier:
+            payload["classes"] = _jsonable(list(model.classes_))
+        payload["n_features"] = model.n_features_
     elif isinstance(model, RandomForestClassifier):
         payload = {
             "type": "forest",
@@ -252,14 +228,14 @@ def _load_model_payload(payload: dict):
         return model
     if kind == "tree_classifier":
         model = DecisionTreeClassifier()
-        model.tree_ = _tree_from_dict(payload["tree"])
+        model.tree_ = TreeStructure.from_dict(payload["tree"])
         model.classes_ = np.asarray(payload["classes"])
         model.n_classes_ = len(model.classes_)
         model.n_features_ = payload["n_features"]
         return model
     if kind == "tree_regressor":
         model = DecisionTreeRegressor()
-        model.tree_ = _tree_from_dict(payload["tree"])
+        model.tree_ = TreeStructure.from_dict(payload["tree"])
         model.n_features_ = payload["n_features"]
         return model
     if kind == "forest":

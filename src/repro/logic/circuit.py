@@ -126,11 +126,12 @@ def compile_tree(
     """
     all_vars = frozenset(range(n_features))
     paths: list[list[Literal]] = []
+    tree = tree.as_lists()
 
     def walk(node: int, literals: list[Literal]) -> None:
         if tree.is_leaf(node):
             value = tree.value[node]
-            predicted = int(np.argmax(value)) if value.shape[0] > 1 else int(value[0] >= 0.5)
+            predicted = int(np.argmax(value)) if len(value) > 1 else int(value[0] >= 0.5)
             if predicted == positive_class:
                 paths.append(list(literals))
             return

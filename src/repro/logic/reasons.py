@@ -39,7 +39,7 @@ def possible_classes(
     """Classes the tree can output when only ``fixed`` features keep x's
     values and all others range freely."""
     x = np.asarray(x, dtype=float).ravel()
-    tree = model.tree_
+    tree = model.tree_.as_lists()
     out: set[int] = set()
 
     def walk(node: int) -> None:

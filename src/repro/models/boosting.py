@@ -16,7 +16,7 @@ import numpy as np
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin, RegressorMixin
 from .logistic import sigmoid
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, StackedTrees
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
@@ -43,21 +43,45 @@ class _BaseGBM(Serializable, BaseModel):
         self.min_samples_leaf = min_samples_leaf
         self.subsample = subsample
         self.seed = seed
+        self._stacked = None
+
+    def _stacked_stages(self) -> tuple[StackedTrees, np.ndarray]:
+        """The stages stacked for one walk, and their leaf values.
+
+        Derived state: built on the first predict after ``fit`` (which
+        drops it) and never persisted.
+        """
+        if self._stacked is None:
+            trees = [stage.tree_ for stage in self.estimators_]
+            walk = StackedTrees(trees, max(
+                (stage.n_features_ for stage in self.estimators_), default=0
+            ))
+            values = np.concatenate([np.zeros(0)]
+                                    + [tree.value[:, 0] for tree in trees])
+            self._stacked = (walk, values)
+        return self._stacked
 
     def _raw_predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("estimators_")
         X = self._check_X(X)
+        walk, values = self._stacked_stages()
         out = np.full(X.shape[0], self.init_raw_)
-        for tree in self.estimators_:
-            out += self.learning_rate * tree.predict(X)
+        for lo, hi, leaves in walk.blocks(X):
+            block = out[lo:hi]
+            # Stage by stage in fit order, as a per-tree loop adds them:
+            # every output is bitwise what that loop gives.
+            for stage in self.learning_rate * values[leaves]:
+                block += stage
         return out
 
     def staged_raw_predict(self, X: np.ndarray):
         """Yield the raw prediction after each boosting stage."""
+        self._check_fitted("estimators_")
         X = self._check_X(X)
+        walk, values = self._stacked_stages()
         out = np.full(X.shape[0], self.init_raw_)
-        for tree in self.estimators_:
-            out = out + self.learning_rate * tree.predict(X)
+        for stage in self.learning_rate * values[walk.apply(X)]:
+            out = out + stage
             yield out
 
 
@@ -68,6 +92,7 @@ class GradientBoostingRegressor(RegressorMixin, _BaseGBM):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
         X, y = self._check_Xy(X, y)
         y = y.astype(float)
+        self._stacked = None
         rng = np.random.default_rng(self.seed)
         self.init_raw_ = float(y.mean())
         raw = np.full(y.shape[0], self.init_raw_)
@@ -124,6 +149,7 @@ class GradientBoostingClassifier(ClassifierMixin, _BaseGBM):
         if len(self.classes_) != 2:
             raise ValueError("GradientBoostingClassifier is binary")
         t = encoded.astype(float)
+        self._stacked = None
         rng = np.random.default_rng(self.seed)
         # Initial raw score: log-odds of the base rate (clipped).
         p0 = np.clip(t.mean(), 1e-6, 1 - 1e-6)
@@ -150,12 +176,16 @@ class GradientBoostingClassifier(ClassifierMixin, _BaseGBM):
 
     def _newton_leaf_values(self, tree: DecisionTreeRegressor,
                             X: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
-        """Replace mean-of-gradients leaf values by Σg / (Σh + λ)."""
+        """Replace mean-of-gradients leaf values by Σg / (Σh + λ).
+
+        One ``g[mask].sum()`` per leaf: a ``bincount`` would sum in
+        another order and move the last bits of the leaf values.
+        """
         leaves = tree.tree_.apply(X)
+        value = tree.tree_.value
         for leaf in np.unique(leaves):
             mask = leaves == leaf
-            value = g[mask].sum() / (h[mask].sum() + self.leaf_l2)
-            tree.tree_.value[leaf] = np.array([value])
+            value[leaf] = g[mask].sum() / (h[mask].sum() + self.leaf_l2)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw log-odds scores."""

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, StackedTrees
 
 __all__ = ["RandomForestClassifier"]
 
@@ -48,9 +48,11 @@ class RandomForestClassifier(Serializable, ClassifierMixin, BaseModel):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
+        self._stacked = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X, y = self._check_Xy(X, y)
+        self._stacked = None
         self.classes_ = np.unique(y)
         rng = np.random.default_rng(self.seed)
         n, d = X.shape
@@ -78,14 +80,36 @@ class RandomForestClassifier(Serializable, ClassifierMixin, BaseModel):
             self._sample_indices.append(idx)
         return self
 
+    def _stacked_trees(self) -> tuple[StackedTrees, np.ndarray]:
+        """The trees stacked for one walk, and their class-aligned values.
+
+        A tree's value columns follow its own ``classes_`` (a bootstrap
+        sample can miss a class); the stacked values put them under the
+        forest's columns, with 0 for a class the tree never saw. Derived
+        state: built on the first predict after ``fit`` (which drops it)
+        and never persisted.
+        """
+        if self._stacked is None:
+            aligned = []
+            for tree in self.estimators_:
+                values = np.zeros((tree.tree_.n_nodes, len(self.classes_)))
+                columns = np.searchsorted(self.classes_, tree.classes_)
+                values[:, columns] = tree.tree_.value
+                aligned.append(values)
+            walk = StackedTrees(
+                [tree.tree_ for tree in self.estimators_],
+                max(tree.n_features_ for tree in self.estimators_),
+            )
+            self._stacked = (walk, np.concatenate(aligned))
+        return self._stacked
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("estimators_")
         X = self._check_X(X)
+        walk, values = self._stacked_trees()
         proba = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
-            # Align tree class order (a bootstrap sample can miss a class).
-            for k, label in enumerate(tree.classes_):
-                col = int(np.searchsorted(self.classes_, label))
-                proba[:, col] += tree_proba[:, k]
+        for lo, hi, leaves in walk.blocks(X):
+            block = proba[lo:hi]
+            for tree_leaves in leaves:  # trees in fit order
+                block += values[tree_leaves]
         return proba / len(self.estimators_)

@@ -45,13 +45,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.base import batch_matrix, finish_batch, screen_rows
 from ..core.explanation import FeatureAttribution
 from ..exec import map_shards, plan_shards, resolve_backend, resolve_n_procs
 from ..obs import instrument_explainer
 from ..obs.trace import current_span
+from ..robust.guard import check_instance
 from ..models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from ..models.forest import RandomForestClassifier
-from ..models.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeStructure
+from ..models.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    TreeLists,
+    TreeStructure,
+)
 
 __all__ = [
     "tree_shap_values",
@@ -62,7 +69,7 @@ __all__ = [
 ]
 
 
-def _leaf_scalar(tree: TreeStructure, node: int, class_index: int | None) -> float:
+def _leaf_scalar(tree: TreeLists, node: int, class_index: int | None) -> float:
     value = tree.value[node]
     if class_index is None:
         return float(value[0])
@@ -82,6 +89,7 @@ def tree_expected_value(
     """
     x = np.asarray(x, dtype=float).ravel()
     mask = np.asarray(mask, dtype=bool).ravel()
+    tree = tree.as_lists()
 
     def recurse(node: int) -> float:
         if tree.is_leaf(node):
@@ -175,6 +183,7 @@ def tree_shap_values(
     """Exact Shapley values of one tree's conditional-expectation game."""
     x = np.asarray(x, dtype=float).ravel()
     phi = np.zeros(n_features)
+    tree = tree.as_lists()
     max_depth = tree.depth(0) + 2
 
     def recurse(
@@ -231,6 +240,7 @@ def tree_shap_values(
 
 def _tree_base_value(tree: TreeStructure, class_index: int | None) -> float:
     """Cover-weighted mean leaf value = EXPVALUE with the empty set."""
+    tree = tree.as_lists()
 
     def recurse(node: int) -> float:
         if tree.is_leaf(node):
@@ -246,37 +256,31 @@ def _tree_base_value(tree: TreeStructure, class_index: int | None) -> float:
 
 
 class _TreeArrays:
-    """One tree's instance-independent structure, flattened for the kernel.
+    """One tree's instance-independent structure for the fused kernel.
 
-    ``frac[c]`` is child ``c``'s cover fraction of its parent — the
-    multiplier the scalar algorithm recomputes as
-    ``n_node_samples[c] / n_node_samples[parent]`` at every visit.
-    ``value`` holds each leaf's explained scalar (the ``class_index``
-    column already selected); internal nodes carry 0.
+    The node arrays are the model's own. ``frac[c]`` is child ``c``'s
+    cover fraction of its parent — the multiplier the scalar algorithm
+    recomputes as ``n_node_samples[c] / n_node_samples[parent]`` at every
+    visit. ``value`` holds each leaf's explained scalar (the
+    ``class_index`` column already selected); internal nodes carry 0.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "is_leaf",
                  "value", "frac")
 
     def __init__(self, tree: TreeStructure, class_index: int | None) -> None:
-        self.feature = np.asarray(tree.feature, dtype=np.intp)
-        self.threshold = np.asarray(tree.threshold, dtype=float)
-        self.left = np.asarray(tree.children_left, dtype=np.intp)
-        self.right = np.asarray(tree.children_right, dtype=np.intp)
+        self.feature = tree.feature
+        self.threshold = tree.threshold
+        self.left = tree.children_left
+        self.right = tree.children_right
         self.is_leaf = self.feature == -1
-        n_nodes = self.feature.shape[0]
-        self.value = np.zeros(n_nodes)
-        for node in range(n_nodes):
-            if self.is_leaf[node]:
-                self.value[node] = _leaf_scalar(tree, node, class_index)
-        cover = np.asarray(tree.n_node_samples, dtype=float)
-        self.frac = np.ones(n_nodes)
-        for node in range(n_nodes):
-            if not self.is_leaf[node]:
-                self.frac[self.left[node]] = cover[self.left[node]] / cover[node]
-                self.frac[self.right[node]] = (
-                    cover[self.right[node]] / cover[node]
-                )
+        column = tree.value[:, 0 if class_index is None else class_index]
+        self.value = np.where(self.is_leaf, column, 0.0)
+        cover = tree.n_node_samples
+        parents = np.flatnonzero(~self.is_leaf)
+        self.frac = np.ones(tree.n_nodes)
+        for children in (self.left[parents], self.right[parents]):
+            self.frac[children] = cover[children] / cover[parents]
 
 
 def _vec_unwind(feats, zeros, ones, ws, depth, index) -> None:
@@ -461,6 +465,9 @@ class TreeShapExplainer:
     def __init__(self, model) -> None:
         self.model = model
         self._components = self._decompose(model)
+        members = getattr(model, "estimators_", [model])
+        self._n_features = max((member.n_features_ for member in members),
+                              default=None)
         # Hoisted init-time precompute: the ensemble expected value used
         # to be recomputed by full recursion on every explain call.
         base = sum(
@@ -535,8 +542,10 @@ class TreeShapExplainer:
         vectorized batch kernel pays numpy per-node overhead that only
         amortizes across many rows (it is ~8× slower at ``n_rows=1``).
         Batches go through :meth:`explain_batch` for the fused path.
+        An instance of the wrong width, with no entries or with a
+        non-finite entry raises :class:`InputValidationError`.
         """
-        x = np.asarray(x, dtype=float).ravel()
+        x = check_instance(x, self._n_features)
         n = x.shape[0]
         phi = np.zeros(n)
         for tree, weight, class_index in self._components:
@@ -557,7 +566,8 @@ class TreeShapExplainer:
         feature_names: list[str] | None = None,
         backend: str | None = None,
         n_procs: int | None = None,
-    ) -> list[FeatureAttribution]:
+        return_errors: bool = False,
+    ) -> list[FeatureAttribution] | tuple[list, list]:
         """Explain every row through one fused traversal per tree.
 
         The precompute is built (or fetched) once; each component tree
@@ -570,11 +580,30 @@ class TreeShapExplainer:
         is elementwise per row); against per-row ``explain`` they agree
         to float accumulation order (the fused kernel visits children
         left-then-right, the scalar recursion hot-child-first).
+
+        Failures follow the base ``explain_batch`` contract: a row that
+        ``explain`` would refuse fails alone as a
+        :class:`repro.robust.BatchRowError` before the kernel runs, the
+        other rows stay fused (bitwise what the batch without the bad
+        rows gives), and ``return_errors`` chooses between
+        ``(results, errors)`` and :class:`repro.robust.PartialBatchError`.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = batch_matrix(X)
+        backend_name = resolve_backend(backend)
         sp = current_span()
         if sp is not None:
             sp.set_attr("amortized", True)
+        outcomes, keep = screen_rows(X, self._n_features)
+        if keep.size:
+            rows = X if keep.size == X.shape[0] else X[keep]
+            results = self._explain_fused(rows, feature_names, backend_name,
+                                          n_procs)
+            for i, result in zip(keep, results):
+                outcomes[i] = (result, None)
+        return finish_batch(outcomes, return_errors)
+
+    def _explain_fused(self, X, feature_names, backend_name, n_procs
+                       ) -> list[FeatureAttribution]:
         pre = self.precompute()
         names = feature_names or [f"x{i}" for i in range(X.shape[1])]
         n_trees = len(self._components)
@@ -595,7 +624,6 @@ class TreeShapExplainer:
                 for r in range(hi - lo)
             ]
 
-        backend_name = resolve_backend(backend)
         n_rows = X.shape[0]
         if backend_name == "serial" or n_rows < 2:
             return run_rows((0, n_rows))

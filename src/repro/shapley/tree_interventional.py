@@ -33,13 +33,13 @@ import numpy as np
 
 from ..core.explanation import FeatureAttribution
 from ..obs import instrument_explainer
-from ..models.tree import TreeStructure
+from ..models.tree import TreeLists, TreeStructure
 from .tree import TreeShapExplainer, _leaf_scalar
 
 __all__ = ["interventional_tree_shap", "InterventionalTreeShapExplainer"]
 
 
-def _leaf_paths(tree: TreeStructure):
+def _leaf_paths(tree: TreeLists):
     """Yield ``(leaf, conditions)`` with per-feature condition lists.
 
     Each condition is ``(threshold, went_left)``: satisfied by value v
@@ -85,6 +85,7 @@ def interventional_tree_shap(
     """
     x = np.asarray(x, dtype=float).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=float))
+    tree = tree.as_lists()
     paths = _leaf_paths(tree)
     phi = np.zeros(n_features)
     base = 0.0

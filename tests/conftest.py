@@ -6,6 +6,8 @@ tests must not mutate fixture objects (copy first).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,46 @@ def small_tree(small_classification):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+# Rows of the large tree probe batch: above one row block of the tree
+# walk for every model the frozen-bits tests fit, and a multiple of none
+# of those blocks.
+TREE_PROBE_ROWS = 17391
+
+
+def _tree_probes(X: np.ndarray) -> list[np.ndarray]:
+    """Predict inputs around a training matrix ``X`` (at least 3 columns).
+
+    One row; ``TREE_PROBE_ROWS`` rows; six rows holding NaN, +inf and
+    -inf (as whole rows and as single entries); a Fortran-ordered block.
+    """
+    rng = np.random.default_rng(2024)
+    n, d = TREE_PROBE_ROWS, X.shape[1]
+    big = X[rng.integers(0, X.shape[0], n)] + rng.normal(0.0, 0.25, (n, d))
+    odd = big[:6].copy()
+    odd[0], odd[1], odd[2] = np.nan, np.inf, -np.inf
+    odd[3, 0], odd[4, 1], odd[5, 2] = np.nan, np.inf, -np.inf
+    return [big[:1], big, odd, np.asfortranarray(big[:301])]
+
+
+@pytest.fixture(scope="session")
+def tree_probes():
+    """The probe inputs of the frozen-bits tests, as a function of ``X``."""
+    return _tree_probes
+
+
+@pytest.fixture(scope="session")
+def tree_digest():
+    """``digest(fn, X)``: sha256 of ``fn``'s float64 outputs on every
+    probe input around ``X``, in order. Tests compare it with digests
+    frozen from the list-walk implementation the array walk replaced."""
+
+    def digest(fn, X: np.ndarray) -> str:
+        h = hashlib.sha256()
+        for probe in _tree_probes(X):
+            out = np.ascontiguousarray(fn(probe), dtype=np.float64)
+            h.update(out.tobytes())
+        return h.hexdigest()
+
+    return digest

@@ -20,6 +20,8 @@ pure performance change —
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,19 @@ class TestTreeBatch:
             # not necessarily to the last ulp.
             assert np.allclose(att.values, scalar.values, atol=1e-9)
             assert att.base_value == scalar.base_value
+
+    # sha256 of TreePrecompute.shap_values' float64 bytes on the loan
+    # GBM, frozen from the list-copying _TreeArrays that now reads the
+    # model's arrays: the fused kernel's bits must not move.
+    FROZEN_FUSED = (
+        "cceae129e4115f6591a87ca8974045697a063da0245b3819dd9199ad3b865eb4"
+    )
+
+    def test_fused_values_match_frozen_bits(self, loan_split, loan_gbm):
+        Xtr, __, __, __ = loan_split
+        phi = TreeShapExplainer(loan_gbm).precompute().shap_values(Xtr[:32])
+        digest = hashlib.sha256(np.ascontiguousarray(phi).tobytes())
+        assert digest.hexdigest() == self.FROZEN_FUSED
 
     def test_precompute_shared_across_instances(self, loan_gbm):
         a = TreeShapExplainer(loan_gbm)

@@ -56,6 +56,7 @@ BACKENDS = ("serial", "thread", "process", "spawn")
 ARTIFACT_KINDS = {
     "kernel_shap": FeatureAttribution,
     "sampling_shap": FeatureAttribution,
+    "gbm_sampling_shap": FeatureAttribution,
     "tmc_datashapley": DataAttribution,
     "tuple_shapley": dict,
     "causal_shapley": FeatureAttribution,

@@ -1,5 +1,7 @@
 """Tests for serialization, rendering and the CLI."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,51 @@ class TestModelRoundTrips:
         a = TreeShapExplainer(model).explain(data.X[0]).values
         b = TreeShapExplainer(restored).explain(data.X[0]).values
         assert np.allclose(a, b)
+
+    # sha256 of dump_model's text, frozen from the per-field tree
+    # serializer that TreeStructure.to_dict/from_dict replaced.
+    FROZEN_DUMPS = {
+        "tree_classifier":
+            "7597d5fc204931d57479bbe17a8bae1cb2d6e416ed0054c8a7f18b3ba5faf3d8",
+        "tree_regressor":
+            "382a7bd26effbdbcf61b7840b32c2acb4788e59fbfbe51ce7193b964c322fa80",
+        "forest":
+            "17171a227eb67b88e10d51e7ba6a3dc11f58848c0d38e2404340dd2a27efa854",
+        "gbm_classifier":
+            "ba046b2722d7615dae03d34e85ef842b4f0f2f995f63922eede3b79bb435d478",
+        "gbm_regressor":
+            "6a50d5a6470c8dddecfe97d58ee5e7c46f41936a107f5ed7091962c741a7655b",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN_DUMPS))
+    def test_tree_dumps_match_frozen_text(self, kind, data):
+        from repro import models
+
+        y = data.y
+        if kind == "tree_classifier":
+            model = models.DecisionTreeClassifier(max_depth=4, seed=0)
+        elif kind == "tree_regressor":
+            model = models.DecisionTreeRegressor(max_depth=4, seed=0)
+            y = data.X[:, 0] - 2.0 * data.X[:, 1] ** 2
+        elif kind == "forest":
+            model = models.RandomForestClassifier(
+                n_estimators=5, max_depth=3, seed=0
+            )
+        elif kind == "gbm_classifier":
+            model = models.GradientBoostingClassifier(
+                n_estimators=6, max_depth=2, seed=0
+            )
+        else:
+            model = models.GradientBoostingRegressor(
+                n_estimators=6, max_depth=2, seed=0
+            )
+            y = data.X[:, 0] - 2.0 * data.X[:, 1] ** 2
+        text = dump_model(model.fit(data.X, y))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.FROZEN_DUMPS[kind]
+        restored = load_model(text)
+        assert dump_model(restored) == text
+        assert np.array_equal(restored.predict(data.X), model.predict(data.X))
 
     def test_unsupported_model(self):
         with pytest.raises(TypeError):

@@ -25,6 +25,7 @@ The contracts under test, in the order they stack:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import urllib.error
@@ -146,6 +147,37 @@ def test_classifier_family_roundtrips_bitwise(name):
     assert np.array_equal(model.predict(X), copy.predict(X))
     assert np.array_equal(model.predict_proba(X), copy.predict_proba(X))
     assert dumps(to_envelope(model)) == dumps(to_envelope(copy))
+
+
+# sha256 of ``dumps(to_envelope(model))`` for the tree families, frozen
+# from the list-based TreeStructure the array fields replaced: the
+# envelope text must not change with the in-memory representation.
+FROZEN_TREE_ENVELOPES = {
+    "tree_reg":
+        "62fbf78fc3ac6bf66f917649ab6694f5e4148b423ce94a3fc44542403c269c8e",
+    "gbm_reg":
+        "5ad0d9e66b595bc95de0b000989e8592ab1af0aed230c05183807c8174e69359",
+    "tree_clf":
+        "f8438a2a5b12dbf4e806e68c4413793d5d0664419ad5376e16e156ef14e0acd9",
+    "forest":
+        "7b083472274adccd1f3dbc012dc5844e2db1ab79db0a7defdb88e40fb967a036",
+    "gbm_clf":
+        "bf77d5743581e06f761c9fea997a35207811dc40725b127d86ef158a985b358e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TREE_ENVELOPES))
+def test_tree_envelopes_match_frozen_bytes(name):
+    if name in REGRESSORS:
+        X, y = _regression_data()
+        model = REGRESSORS[name]().fit(X, y)
+    else:
+        X, y = _classification_data()
+        model = CLASSIFIERS[name]().fit(X, y)
+    model.predict(X)  # lazily built walk tables must stay out of the text
+    text = dumps(to_envelope(model))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        FROZEN_TREE_ENVELOPES[name]
 
 
 def test_unfitted_model_roundtrips():

@@ -11,6 +11,8 @@ from repro.models import (
     GradientBoostingRegressor,
     RandomForestClassifier,
 )
+from repro.obs import metrics
+from repro.robust import InputValidationError, PartialBatchError
 from repro.shapley import TreeShapExplainer, exact_shapley, tree_expected_value
 
 
@@ -105,3 +107,66 @@ def test_irrelevant_feature_gets_zero(data):
 def test_unsupported_model_rejected():
     with pytest.raises(TypeError):
         TreeShapExplainer(object())
+
+
+# -- the input contract every explainer keeps ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_gbm(data):
+    return GradientBoostingClassifier(n_estimators=5, max_depth=2, seed=0).fit(
+        data.X, data.y
+    )
+
+
+def test_explain_refuses_bad_instances(data, small_gbm):
+    explainer = TreeShapExplainer(small_gbm)
+    x = data.X[0]
+    bad = [x[:-1], np.append(x, 0.0), np.array([])]
+    for value in (np.nan, np.inf, -np.inf):
+        row = x.copy()
+        row[1] = value
+        bad.append(row)
+    for row in bad:
+        with pytest.raises(InputValidationError):
+            explainer.explain(row)
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_explain_batch_isolates_bad_rows(backend, data, small_gbm):
+    X = data.X[:7].copy()
+    X[2, 1] = np.nan
+    X[5, 0] = -np.inf
+    good = [0, 1, 3, 4, 6]
+    explainer = TreeShapExplainer(small_gbm)
+    clean = explainer.explain_batch(X[good], backend=backend, n_procs=2)
+    failed = metrics.counter("robust.rows_failed")
+    before = failed.value
+    with pytest.raises(PartialBatchError) as excinfo:
+        explainer.explain_batch(X, backend=backend, n_procs=2)
+    assert failed.value == before + 2
+    assert [e.index for e in excinfo.value.errors] == [2, 5]
+    assert all(isinstance(e.error, InputValidationError)
+               for e in excinfo.value.errors)
+    results, errors = explainer.explain_batch(
+        X, backend=backend, n_procs=2, return_errors=True
+    )
+    assert failed.value == before + 4
+    assert [e.index for e in errors] == [2, 5]
+    assert results[2] is None and results[5] is None
+    for i, att in zip(good, clean):
+        # Good rows stay on the fused kernel: bitwise what the batch
+        # without the bad rows gives.
+        assert np.array_equal(results[i].values, att.values)
+        assert results[i].prediction == att.prediction
+        assert np.array_equal(excinfo.value.partial[i].values, att.values)
+
+
+def test_explain_batch_refuses_a_wrong_width(data, small_gbm):
+    results, errors = TreeShapExplainer(small_gbm).explain_batch(
+        data.X[:3, :-1], return_errors=True
+    )
+    assert results == [None, None, None]
+    assert all(isinstance(e.error, InputValidationError) for e in errors)
+    with pytest.raises(InputValidationError):
+        TreeShapExplainer(small_gbm).explain_batch(np.empty((0, 6)))
