@@ -108,6 +108,24 @@ def case_tmc_datashapley(backend: str | None = None):
                        backend=backend, n_procs=2)
 
 
+def case_tmc_datashapley_wide(backend: str | None = None):
+    # 40 points whose TMC prefixes mostly hold both classes (117 fits),
+    # so the golden reaches the batched logistic solve of lockstep walks;
+    # tmc_datashapley's 10 points mostly give single-class prefixes.
+    from repro.datavalue.data_shapley import tmc_shapley
+    from repro.datavalue.utility import UtilityFunction
+    from repro.datasets import make_classification
+    from repro.models import LogisticRegression
+    from repro.models.model_selection import train_test_split
+
+    data = make_classification(100, n_features=4, class_sep=1.0, seed=13)
+    Xtr, Xv, ytr, yv = train_test_split(data.X, data.y, test_size=0.4, seed=0)
+    utility = UtilityFunction(lambda: LogisticRegression(alpha=1.0),
+                              Xtr[:40], ytr[:40], Xv, yv)
+    return tmc_shapley(utility, n_permutations=8, seed=3,
+                       backend=backend, n_procs=2)
+
+
 def view_tmc_datashapley(attr) -> dict:
     return {
         "values": np.asarray(attr.values, dtype=float).tolist(),
@@ -237,6 +255,7 @@ CASES = {
     "sampling_shap": case_sampling_shap,
     "gbm_sampling_shap": case_gbm_sampling_shap,
     "tmc_datashapley": case_tmc_datashapley,
+    "tmc_datashapley_wide": case_tmc_datashapley_wide,
     "tuple_shapley": case_tuple_shapley,
     "causal_shapley": case_causal_shapley,
     "lime": case_lime,
@@ -249,6 +268,7 @@ VIEWS = {
     "sampling_shap": view_sampling_shap,
     "gbm_sampling_shap": view_sampling_shap,
     "tmc_datashapley": view_tmc_datashapley,
+    "tmc_datashapley_wide": view_tmc_datashapley,
     "causal_shapley": view_causal_shapley,
     "lime": view_lime,
 }

@@ -17,13 +17,14 @@ __all__ = ["leave_one_out_values"]
 
 
 def leave_one_out_values(utility: UtilityFunction) -> DataAttribution:
-    """LOO value of every training point."""
+    """LOO value of every training point.
+
+    The n deletions go to the utility as one batch (``scores``), so a
+    model that fits many subsets at once fits them together.
+    """
     n = utility.n_points
     full = utility.full_score()
-    everything = np.arange(n)
-    values = np.zeros(n)
-    for i in range(n):
-        values[i] = full - utility(np.delete(everything, i))
+    values = full - utility.scores(~np.eye(n, dtype=bool))
     return DataAttribution(
         values=values,
         method="leave_one_out",

@@ -170,7 +170,11 @@ class DataValueGame(BaseGame):
     callable taking an index array). The utility's own prefix memo and
     the evaluator's packed-bit mask cache stack: the memo deduplicates
     across estimators sharing one utility, the mask cache short-circuits
-    the index conversion entirely.
+    the index conversion entirely. ``value`` hands all its rows to the
+    utility's ``scores`` in one call; a utility offering only
+    ``__call__`` is called row by row. The game is ``batched`` when the
+    utility is: its ``scores`` then fits a whole batch in one model
+    call, so truncated walks may step together.
     """
 
     deterministic = True
@@ -179,6 +183,10 @@ class DataValueGame(BaseGame):
     def __init__(self, utility) -> None:
         self.utility = utility
         self.n_players = int(utility.n_points)
+
+    @property
+    def batched(self) -> bool:
+        return bool(getattr(self.utility, "batched", False))
 
     @property
     def empty_value(self) -> float:
@@ -219,6 +227,9 @@ class DataValueGame(BaseGame):
 
     def value(self, coalitions: np.ndarray) -> np.ndarray:
         coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
+        scores = getattr(self.utility, "scores", None)
+        if scores is not None:
+            return np.asarray(scores(coalitions), dtype=float)
         out = np.zeros(coalitions.shape[0])
         for row, mask in enumerate(coalitions):
             out[row] = self.utility(np.flatnonzero(mask))

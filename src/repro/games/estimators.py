@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 
 import numpy as np
@@ -58,6 +58,7 @@ from ..obs import metrics
 from ..obs.trace import enabled as _obs_enabled
 from ..persist.protocol import register_serializable
 from ..robust.errors import BudgetExceededError
+from ..robust.guard import current_scope
 from .base import as_game, walk_masks
 from .engine import game_value_function
 
@@ -398,7 +399,10 @@ def permutation_estimator(
         ``|truncation_target − v(prefix)|`` falls below the tolerance
         (TMC-Shapley); the unscanned tail receives zero marginal
         contribution but still counts. ``truncation_target`` defaults
-        to the grand-coalition value, evaluated once.
+        to the grand-coalition value, evaluated once. Over a ``batched``
+        game with no deadline or query budget in force, the walks
+        advance together, one prefix position per ``value`` call; the
+        estimate is the same bits either way.
     empty_value:
         Known v(∅). When given, walks never evaluate the empty
         coalition (the datavalue convention); otherwise each walk's
@@ -495,17 +499,6 @@ def permutation_estimator(
                 f"cannot continue with {params}"
             )
 
-    def run_walk(p):
-        """One walk → ``(contrib, local_counts, scanned)`` — the exact
-        operations of the serial loop, shared with the shard runners
-        (``scanned`` is ``None`` unless truncation was active)."""
-        if walk_fn is not None:
-            return np.asarray(walk_fn(p), dtype=float), np.ones(n), None
-        return _run_one_walk(
-            value_fn, p, empty_value, position_weights,
-            truncating, truncation_target, truncation_tolerance,
-        )
-
     contributions: list[np.ndarray] = []
     sums = np.zeros(n)
     counts = np.zeros(n)
@@ -569,6 +562,7 @@ def permutation_estimator(
     # still runs both directions, whatever the diagnostics contract
     # calls a "requested" walk), so resume lands on the right batch.
     skip_batches, mid_walks = divmod(start_walks, 2 if antithetic else 1)
+    lockstep = truncating and _walks_step_together(game)
     sharded = walk_fn is None and _shard_eligible(
         game, backend_name, n_batches - skip_batches
     )
@@ -577,31 +571,39 @@ def permutation_estimator(
             accumulate, sampler, rng, game, value_fn,
             n_batches, antithetic, backend_name, n_shards, n_procs, seed,
             empty_value, position_weights, truncating, truncation_target,
-            truncation_tolerance, start_walks=start_walks,
+            truncation_tolerance, lockstep, start_walks=start_walks,
         )
         if budget_error is not None and n_walks == 0:
             raise budget_error
     else:
-        for b in range(n_batches):
+        def drawn():
             # Draw every batch's permutation — including ones a resumed
             # state already completed — so the stream stays in the exact
-            # serial order; only the walk evaluation is skipped.
-            perm = sampler(rng)
-            if b < skip_batches:
-                continue
-            perms = [perm, perm[::-1]] if antithetic else [perm]
-            if b == skip_batches and mid_walks:
-                # A half-finished antithetic pair: its first walk is
-                # already accumulated, resume at the reverse.
-                perms = perms[mid_walks:]
-            try:
-                for p in perms:
-                    accumulate(*run_walk(p))
-            except BudgetExceededError as e:
-                if n_walks == 0:
-                    raise
-                budget_error = e
-                break
+            # serial order; only the walk evaluation is skipped. Lazily,
+            # so walks run one at a time draw each permutation only after
+            # the walks before it, as the old loop did.
+            for b in range(n_batches):
+                perm = sampler(rng)
+                if b >= skip_batches:
+                    yield perm
+
+        walks = _batch_walks(drawn(), skip_batches, antithetic,
+                             skip_batches, mid_walks)
+        if walk_fn is not None:
+            results = ((np.asarray(walk_fn(p), dtype=float), np.ones(n), None)
+                       for p in walks)
+        else:
+            results = _value_walks(
+                value_fn, walks, empty_value, position_weights, truncating,
+                truncation_target, truncation_tolerance, lockstep,
+            )
+        try:
+            for walk in results:
+                accumulate(*walk)
+        except BudgetExceededError as e:
+            if n_walks == 0:
+                raise
+            budget_error = e
 
     diagnostics = {
         "converged": budget_error is None,
@@ -630,23 +632,61 @@ def permutation_estimator(
     return PermutationEstimate(phi, None, diagnostics, state)
 
 
-def _run_one_walk(
-    value_fn, p, empty_value, position_weights,
-    truncating, truncation_target, truncation_tolerance,
-):
-    """One value-fn walk → ``(contrib, local_counts, scanned)``.
+def _walks_step_together(game) -> bool:
+    """Whether truncated walks over ``game`` advance in lockstep.
 
-    The exact per-walk operations of the serial loop, extracted to
-    module level so the picklable shard runner and the in-process
-    ``run_walk`` closure share one body (whole-walk games never reach
-    here — their walks stay serial behind ``walk_contributions``).
+    Only over a ``batched`` game, where one ``value`` call over every
+    walk's next prefix costs about what one prefix does; and only with
+    no deadline or query budget in the ambient guard scope, because
+    budgets are charged and run out prefix by prefix in walk order,
+    which a step over all walks would reorder (``_try_amortized`` keeps
+    its per-row loop under budgets for the same reason).
     """
-    n = p.shape[0]
+    if not getattr(game, "batched", False):
+        return False
+    scope = current_scope()
+    return scope is None or (
+        scope.deadline_s is None and scope.query_budget is None
+    )
+
+
+def _batch_walks(perms, first, antithetic, skip_batches, mid_walks):
+    """The walks of consecutive batches ``first, first + 1, …``.
+
+    Each batch is its permutation and, when ``antithetic``, its reverse.
+    Batch ``skip_batches`` of a resumed run with ``mid_walks`` walks
+    already accumulated (a half-finished antithetic pair) resumes at
+    its second walk.
+    """
+    for b, perm in enumerate(perms, start=first):
+        batch = [perm, perm[::-1]] if antithetic else [perm]
+        if b == skip_batches and mid_walks:
+            batch = batch[mid_walks:]
+        yield from batch
+
+
+def _value_walks(
+    value_fn, walks, empty_value, position_weights,
+    truncating, truncation_target, truncation_tolerance, lockstep,
+):
+    """``(contrib, local_counts, scanned)`` of each value-fn walk, in
+    walk order: the walk body the serial loop and the shard runner
+    share (whole-walk games never reach here; their walks stay serial
+    behind ``walk_contributions``). ``scanned`` is ``None`` unless
+    truncation was active.
+    """
     if truncating:
-        return _truncated_walk(
-            value_fn, p, empty_value, position_weights,
-            truncation_target, truncation_tolerance,
+        return _truncated_walks(
+            value_fn, walks, empty_value, position_weights,
+            truncation_target, truncation_tolerance, lockstep,
         )
+    return (_full_walk(value_fn, p, empty_value, position_weights)
+            for p in walks)
+
+
+def _full_walk(value_fn, p, empty_value, position_weights):
+    """One untruncated walk: every prefix in one ``value_fn`` call."""
+    n = p.shape[0]
     masks = walk_masks(p, include_empty=empty_value is None)
     values = np.asarray(value_fn(masks), dtype=float)
     if empty_value is None:
@@ -679,7 +719,7 @@ class _WalkShardRunner:
 
     def __init__(self, value_fn, game, perms, skip_batches, mid_walks,
                  antithetic, empty_value, position_weights, truncating,
-                 truncation_target, truncation_tolerance):
+                 truncation_target, truncation_tolerance, lockstep):
         self.value_fn = value_fn
         self.game = game
         self.perms = perms
@@ -691,6 +731,7 @@ class _WalkShardRunner:
         self.truncating = truncating
         self.truncation_target = truncation_target
         self.truncation_tolerance = truncation_tolerance
+        self.lockstep = lockstep
 
     def __call__(self, bounds):
         lo, hi = bounds
@@ -700,21 +741,22 @@ class _WalkShardRunner:
             if store is not None and in_worker()
             else ()
         )
+        first = self.skip_batches + lo
+        # `antithetic`, not the pair flag: n_permutations=1 with
+        # antithetic=True runs 2 walks serially, and must here.
+        batches = _batch_walks(
+            self.perms[first:self.skip_batches + hi], first,
+            self.antithetic, self.skip_batches, self.mid_walks,
+        )
         walks, err = [], None
         try:
-            for b in range(self.skip_batches + lo, self.skip_batches + hi):
-                perm = self.perms[b]
-                # `antithetic`, not the pair flag: n_permutations=1 with
-                # antithetic=True runs 2 walks serially, and must here.
-                batch = [perm, perm[::-1]] if self.antithetic else [perm]
-                if b == self.skip_batches and self.mid_walks:
-                    batch = batch[self.mid_walks:]
-                for p in batch:
-                    walks.append(_run_one_walk(
-                        self.value_fn, p, self.empty_value,
-                        self.position_weights, self.truncating,
-                        self.truncation_target, self.truncation_tolerance,
-                    ))
+            for walk in _value_walks(
+                self.value_fn, batches, self.empty_value,
+                self.position_weights, self.truncating,
+                self.truncation_target, self.truncation_tolerance,
+                self.lockstep,
+            ):
+                walks.append(walk)
         except BudgetExceededError as e:
             err = {
                 "message": str(e), "kind": e.kind,
@@ -730,7 +772,7 @@ def _run_sharded_walks(
     accumulate, sampler, rng, game, value_fn,
     n_batches, antithetic, backend_name, n_shards, n_procs, seed,
     empty_value, position_weights, truncating, truncation_target,
-    truncation_tolerance, start_walks=0,
+    truncation_tolerance, lockstep, start_walks=0,
 ):
     """Shard the permutation walks; returns the budget error, if any.
 
@@ -769,7 +811,7 @@ def _run_sharded_walks(
     run_shard = _WalkShardRunner(
         value_fn, game, perms, skip_batches, mid_walks, antithetic,
         empty_value, position_weights, truncating, truncation_target,
-        truncation_tolerance,
+        truncation_tolerance, lockstep,
     )
 
     def rebuild(err):
@@ -801,45 +843,66 @@ def _run_sharded_walks(
     return budget_error
 
 
-def _truncated_walk(
-    value_fn, perm, empty_value, position_weights, target, tolerance
+def _truncated_walks(
+    value_fn, perms, empty_value, position_weights, target, tolerance,
+    lockstep,
 ):
-    """One sequential walk with TMC early stopping.
+    """TMC walks with early stopping → ``(contrib, local_counts,
+    scanned)`` per walk, in walk order.
 
-    Evaluates prefixes one at a time (truncation decides after each),
-    accumulating into walk-local buffers so an interrupted walk can be
-    discarded whole. Each player is touched exactly once, so committing
-    the buffers reproduces the legacy in-place accumulation bitwise.
+    With ``lockstep`` every walk of ``perms`` advances together: step
+    j evaluates each live walk's (j+1)-prefix in one ``value_fn`` call
+    (one ``coalition_eval`` span, one cache pass), values are consumed
+    walk by walk, and a walk leaves the live set once it truncates.
+    Otherwise the same steps run over one walk at a time, and each walk
+    is yielded before the next starts. A prefix's value does not depend
+    on what else is in the call, so a walk evaluates the same prefixes,
+    gets the same values and fills the same buffers either way.
+
+    Each walk accumulates into its own buffers, so a walk cut short is
+    discarded whole. Each player is touched once per walk, so adding the
+    buffers up in walk order reproduces the legacy in-place
+    accumulation bitwise.
     """
-    n = perm.shape[0]
-    contrib = np.zeros(n)
-    local_counts = np.zeros(n)
-    previous = empty_value
-    if previous is None:
-        previous = float(value_fn(np.zeros((1, n), dtype=bool))[0])
-    mask = np.zeros(n, dtype=bool)
-    scanned = n
-    for position, player in enumerate(perm):
-        mask[player] = True
-        current = float(value_fn(mask[None, :])[0])
-        if position_weights is None:
-            contrib[player] = current - previous
-            local_counts[player] = 1.0
+    perms = iter(perms)
+    while group := list(islice(perms, None if lockstep else 1)):
+        order = np.stack(group)
+        k, n = order.shape
+        contrib = np.zeros((k, n))
+        local_counts = np.zeros((k, n))
+        masks = np.zeros((k, n), dtype=bool)
+        scanned = np.full(k, n)
+        if empty_value is None:
+            previous = np.asarray(value_fn(masks), dtype=float)
         else:
-            contrib[player] = position_weights[position] * (current - previous)
-            local_counts[player] = position_weights[position]
-        previous = current
-        if abs(target - current) < tolerance:
-            scanned = position + 1
-            break
-    # The unscanned tail contributes zero but still counts — truncation
-    # is an estimate of ~0 marginals, not missing data.
-    tail = perm[scanned:]
-    if position_weights is None:
-        local_counts[tail] = 1.0
-    else:
-        local_counts[tail] = position_weights[scanned:]
-    return contrib, local_counts, scanned
+            previous = np.full(k, float(empty_value))
+        live = np.arange(k)
+        for position in range(n):
+            players = order[live, position]
+            masks[live, players] = True
+            current = np.asarray(value_fn(masks[live]), dtype=float)
+            if position_weights is None:
+                contrib[live, players] = current - previous[live]
+                local_counts[live, players] = 1.0
+            else:
+                weight = position_weights[position]
+                contrib[live, players] = weight * (current - previous[live])
+                local_counts[live, players] = weight
+            previous[live] = current
+            stop = np.abs(target - current) < tolerance
+            scanned[live[stop]] = position + 1
+            live = live[~stop]
+            if live.size == 0:
+                break
+        for w in range(k):
+            # The unscanned tail contributes zero but still counts —
+            # truncation is an estimate of ~0 marginals, not missing data.
+            tail = order[w, scanned[w]:]
+            if position_weights is None:
+                local_counts[w, tail] = 1.0
+            else:
+                local_counts[w, tail] = position_weights[scanned[w]:]
+            yield contrib[w], local_counts[w], int(scanned[w])
 
 
 # -- Kernel SHAP (weighted least squares) -------------------------------------

@@ -402,8 +402,9 @@ def batch_tree_shap_values(arrays: _TreeArrays, X: np.ndarray) -> np.ndarray:
 
 # Per-model precompute store: one TreePrecompute per live model object,
 # shared by every explainer built on it (and by forked process-backend
-# workers, which inherit it copy-on-write). Weak keys keep the store
-# from pinning models in memory.
+# workers, which inherit it copy-on-write), next to the component trees
+# it was built from. Weak keys keep the store from pinning models in
+# memory.
 _PRECOMPUTE_STORE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -432,20 +433,28 @@ class TreePrecompute:
 
 
 def tree_precompute(model, components, expected_value: float) -> TreePrecompute:
-    """The model's cached :class:`TreePrecompute`, built on first use."""
+    """The model's cached :class:`TreePrecompute`, built on first use.
+
+    A stored precompute serves only while ``components`` holds the very
+    tree objects it was built from. Fitting the model again replaces
+    its trees, so the next call after a refit builds a new one.
+    """
+    trees = [tree for tree, __, __ci in components]
     try:
         cached = _PRECOMPUTE_STORE.get(model)
     except TypeError:
         cached = None
-    if cached is not None:
-        return cached
+    if cached is not None and len(cached[0]) == len(trees) and all(
+        old is new for old, new in zip(cached[0], trees)
+    ):
+        return cached[1]
     pre = TreePrecompute(
         trees=[_TreeArrays(tree, ci) for tree, __, ci in components],
         weights=[weight for __, weight, __ci in components],
         expected_value=float(expected_value),
     )
     try:
-        _PRECOMPUTE_STORE[model] = pre
+        _PRECOMPUTE_STORE[model] = (trees, pre)
     except TypeError:
         pass
     return pre

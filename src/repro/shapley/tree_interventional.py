@@ -34,6 +34,7 @@ import numpy as np
 from ..core.explanation import FeatureAttribution
 from ..obs import instrument_explainer
 from ..models.tree import TreeLists, TreeStructure
+from ..robust.guard import check_instance
 from .tree import TreeShapExplainer, _leaf_scalar
 
 __all__ = ["interventional_tree_shap", "InterventionalTreeShapExplainer"]
@@ -148,7 +149,7 @@ class InterventionalTreeShapExplainer:
 
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
-        x = np.asarray(x, dtype=float).ravel()
+        x = check_instance(x, self._delegate._n_features)
         n = x.shape[0]
         phi = np.zeros(n)
         base = 0.0

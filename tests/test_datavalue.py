@@ -14,8 +14,9 @@ from repro.datavalue import (
     leave_one_out_values,
     tmc_shapley,
 )
-from repro.models import KNeighborsClassifier, LogisticRegression
+from repro.models import GaussianNB, KNeighborsClassifier, LogisticRegression
 from repro.models.model_selection import train_test_split
+from repro.obs.metrics import counter
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,115 @@ class TestLOO:
         expected = full - utility(np.delete(everything, i))
         assert att.values[i] == pytest.approx(expected)
         assert att.meta["n_retrainings"] == utility.n_points
+
+    def test_batched_values_equal_the_per_set_loop(self, valuation_setup):
+        __, ___, data = valuation_setup
+        batched = UtilityFunction(lambda: LogisticRegression(alpha=1.0), *data)
+        att = leave_one_out_values(batched)
+        fresh = UtilityFunction(lambda: LogisticRegression(alpha=1.0), *data)
+        full = fresh.full_score()
+        everything = np.arange(fresh.n_points)
+        loop = np.array([full - fresh(np.delete(everything, i))
+                         for i in range(fresh.n_points)])
+        assert np.array_equal(att.values, loop)
+        assert batched.n_evaluations == fresh.n_evaluations
+
+
+_CACHE_COUNTERS = ("datavalue.cache.hits", "datavalue.cache.misses")
+
+
+def _per_row_and_batch(build, masks):
+    """``scores(masks)`` on one fresh utility and the per-row ``__call__``
+    loop on another, each with its counters: (values, counts) twice."""
+    out = []
+    for batched in (True, False):
+        utility = build()
+        # A memo hit: both utilities already know one subset.
+        utility(np.flatnonzero(masks[0]))
+        before = [counter(name).value for name in _CACHE_COUNTERS]
+        if batched:
+            values = utility.scores(masks)
+        else:
+            values = np.array([utility(np.flatnonzero(m)) for m in masks])
+        moved = [counter(name).value - b
+                 for name, b in zip(_CACHE_COUNTERS, before)]
+        out.append((values, (utility.n_evaluations, utility.cache_hits,
+                             utility.cache_misses, moved,
+                             dict(utility._cache or {}))))
+    return out
+
+
+def _mixed_masks(y, n_fresh=12, seed=0):
+    """A memo hit (row 0, pre-evaluated), fresh subsets, the empty set,
+    single-class sets and repeats of earlier rows of the same batch."""
+    rng = np.random.default_rng(seed)
+    n = y.shape[0]
+    rows = [rng.random(n) < 0.5]
+    for __ in range(n_fresh):
+        rows.append(rng.random(n) < rng.uniform(0.1, 0.9))
+    rows.append(np.zeros(n, dtype=bool))
+    for label in np.unique(y)[:2]:
+        single = np.zeros(n, dtype=bool)
+        single[np.flatnonzero(y == label)[:4]] = True
+        rows.append(single)
+    rows += [rows[3].copy(), rows[-1].copy(), rows[5].copy()]
+    return np.array(rows)
+
+
+class TestBatchedUtility:
+    def test_scores_equal_per_row_calls(self, valuation_setup):
+        __, ___, data = valuation_setup
+        masks = _mixed_masks(data[1])
+        certified = counter("datavalue.certified").value
+        for cache in (True, False):
+            (got, got_counts), (want, want_counts) = _per_row_and_batch(
+                lambda: UtilityFunction(lambda: LogisticRegression(alpha=1.0),
+                                        *data, cache=cache),
+                masks,
+            )
+            assert np.array_equal(got, want)
+            assert got_counts == want_counts
+        assert counter("datavalue.certified").value > certified
+
+    def test_three_classes_keep_per_subset_fits(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(0, 1, (90, 3))
+        y = np.digitize(X[:, 0] + rng.normal(0, 0.5, 90), [-0.5, 0.5])
+        two = y < 2   # subsets drawn from two of the three classes
+        X_train, y_train = X[:60], y[:60]
+
+        def build():
+            return UtilityFunction(lambda: LogisticRegression(alpha=1.0),
+                                   X_train, y_train, X[60:], y[60:])
+
+        assert not build().batched
+        masks = _mixed_masks(y_train) & two[:60]
+        (got, got_counts), (want, want_counts) = _per_row_and_batch(build,
+                                                                    masks)
+        assert np.array_equal(got, want)
+        assert got_counts == want_counts
+
+    def test_other_models_and_metrics(self, valuation_setup):
+        __, ___, data = valuation_setup
+        masks = _mixed_masks(data[1])
+
+        def balanced(y_true, y_pred):
+            return float(np.mean([np.mean(y_pred[y_true == c] == c)
+                                  for c in np.unique(y_true)]))
+
+        builds = [
+            lambda: UtilityFunction(GaussianNB, *data),
+            lambda: UtilityFunction(lambda: LogisticRegression(alpha=0.1),
+                                    *data, metric=balanced),
+        ]
+        assert not builds[0]().batched
+        assert builds[1]().batched
+        for build in builds:
+            (got, got_counts), (want, want_counts) = _per_row_and_batch(
+                build, masks
+            )
+            assert np.array_equal(got, want)
+            assert got_counts == want_counts
 
 
 class TestKnnShapleyExactness:

@@ -88,6 +88,26 @@ def _make_valuation_data():
     return data.X, data.y
 
 
+@pytest.fixture(scope="module")
+def wide_utility():
+    """Fresh utilities over 40 training points, whose TMC prefixes mostly
+    hold both classes and so reach the batched logistic solve."""
+    from repro.datasets import make_classification
+
+    data = make_classification(100, n_features=4, class_sep=1.0, seed=13)
+    X_train, X_val, y_train, y_val = train_test_split(
+        data.X, data.y, test_size=0.4, seed=0
+    )
+
+    def build():
+        return UtilityFunction(
+            lambda: LogisticRegression(alpha=1.0),
+            X_train[:40], y_train[:40], X_val, y_val,
+        )
+
+    return build
+
+
 class TestGameProtocol:
     def test_as_game_wraps_callables(self):
         v = _quadratic_game(4)
@@ -189,6 +209,66 @@ class TestDataValueParity:
         assert (new.meta["n_utility_evaluations"]
                 == old.meta["n_utility_evaluations"])
         assert new.meta["convergence"]["converged"] is True
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("tolerance", [0.0, 0.01, 0.05])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_lockstep_tmc_bitwise(self, wide_utility, backend, tolerance,
+                                  seed):
+        # Lockstep walks over the batched solve against the pre-games
+        # loop of per-prefix fits; tolerance 0 never truncates.
+        certified = counter("datavalue.certified").value
+        new = tmc_shapley(wide_utility(), n_permutations=6,
+                          truncation_tolerance=tolerance, seed=seed,
+                          backend=backend, n_procs=2)
+        old = legacy_tmc_shapley(wide_utility(), n_permutations=6,
+                                 truncation_tolerance=tolerance, seed=seed)
+        assert np.array_equal(new.values, old.values)
+        assert (new.meta["mean_truncation_position"]
+                == old.meta["mean_truncation_position"])
+        if backend == "serial":
+            assert (new.meta["n_utility_evaluations"]
+                    == old.meta["n_utility_evaluations"])
+            assert counter("datavalue.certified").value > certified
+        else:
+            # Shards do not see each other's memo: a subset that walks in
+            # two shards reach is fitted in each (seed 7, tolerance 0:
+            # 225 fits against 224, as before lockstep walks).
+            assert (new.meta["n_utility_evaluations"]
+                    >= old.meta["n_utility_evaluations"])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("known_empty", [False, True])
+    def test_lockstep_equals_one_walk_at_a_time(self, wide_utility, weighted,
+                                                known_empty):
+        # An unbinding query budget makes the same walks run one at a
+        # time; position weights and an evaluated v(empty) take their
+        # own branches of the lockstep step.
+        def run():
+            utility = wide_utility()
+            game = DataValueGame(utility)
+            weights = np.linspace(2.0, 0.5, game.n_players)
+            est = permutation_estimator(
+                game, n_permutations=8, antithetic=False, seed=5,
+                truncation_tolerance=0.02,
+                truncation_target=utility.full_score(),
+                empty_value=utility.empty_score if known_empty else None,
+                position_weights=weights if weighted else None,
+                aggregate="sum_counts",
+            )
+            return est, utility.n_evaluations
+
+        together, fits = run()
+        tracer = obs.get_tracer()
+        mark = tracer.mark()
+        with guard_scope(GuardConfig(query_budget=10**9)):
+            alone, alone_fits = run()
+        assert all(s.attrs["n_coalitions"] == 1
+                   for s in tracer.spans_since(mark)
+                   if s.name == "coalition_eval")
+        assert np.array_equal(together.values, alone.values)
+        assert together.state.truncated_at == alone.state.truncated_at
+        assert fits == alone_fits
 
     def test_beta_bitwise(self, tiny_utility_pair):
         new = beta_shapley(tiny_utility_pair(), alpha=4.0, beta=1.0,
@@ -411,6 +491,7 @@ class TestGracefulDegradationAcrossGames:
                 return utility(indices)
 
         game = DataValueGame(FlakyUtility())
+        assert not game.batched
         with guard_scope(GuardConfig(query_budget=60)):
             est = permutation_estimator(
                 game, n_permutations=50, antithetic=False, seed=0,
@@ -427,6 +508,28 @@ class TestGracefulDegradationAcrossGames:
         # exhaustion was counted.
         assert counter("robust.retries").value > 0
         assert counter("robust.budget_exhausted").value > 0
+
+    def test_walks_step_together_only_without_a_budget(self, wide_utility):
+        assert DataValueGame(wide_utility()).batched
+        tracer = obs.get_tracer()
+
+        def widths():
+            return [s.attrs["n_coalitions"] for s in tracer.spans_since(mark)
+                    if s.name == "coalition_eval"]
+
+        mark = tracer.mark()
+        tmc_shapley(wide_utility(), n_permutations=10, seed=2)
+        assert max(widths()) == 10
+        mark = tracer.mark()
+        with guard_scope(GuardConfig(query_budget=150)):
+            att = tmc_shapley(wide_utility(), n_permutations=10, seed=2)
+        assert max(widths()) == 1
+        # Frozen from the one-walk-at-a-time loop before lockstep walks.
+        convergence = att.meta["convergence"]
+        assert convergence["converged"] is False
+        assert convergence["n_walks_completed"] == 5
+        assert att.meta["mean_truncation_position"] == 27.2
+        assert att.meta["n_utility_evaluations"] == 146
 
     def test_budget_exhaustion_before_any_walk_raises(self, tiny_utility_pair):
         from repro.robust import BudgetExceededError

@@ -58,6 +58,7 @@ ARTIFACT_KINDS = {
     "sampling_shap": FeatureAttribution,
     "gbm_sampling_shap": FeatureAttribution,
     "tmc_datashapley": DataAttribution,
+    "tmc_datashapley_wide": DataAttribution,
     "tuple_shapley": dict,
     "causal_shapley": FeatureAttribution,
     "lime": FeatureAttribution,

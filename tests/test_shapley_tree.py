@@ -170,3 +170,19 @@ def test_explain_batch_refuses_a_wrong_width(data, small_gbm):
     assert all(isinstance(e.error, InputValidationError) for e in errors)
     with pytest.raises(InputValidationError):
         TreeShapExplainer(small_gbm).explain_batch(np.empty((0, 6)))
+
+
+def test_explain_batch_after_a_refit_uses_the_new_trees():
+    # The per-model precompute must follow the model's trees: a model
+    # fitted again gets a new precompute, not the old trees' values.
+    data = make_classification(200, n_features=5, seed=3)
+    gbm = GradientBoostingClassifier(n_estimators=5, max_depth=2, seed=0)
+    gbm.fit(data.X, data.y)
+    TreeShapExplainer(gbm).explain_batch(data.X[:6])
+    gbm.fit(data.X, 1 - data.y)
+    explainer = TreeShapExplainer(gbm)
+    batch = explainer.explain_batch(data.X[:6])
+    for i, att in enumerate(batch):
+        single = explainer.explain(data.X[i])
+        assert np.allclose(att.values, single.values, atol=1e-12)
+        assert att.additivity_gap() < 1e-9

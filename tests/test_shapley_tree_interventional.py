@@ -11,6 +11,7 @@ from repro.models import (
     GradientBoostingClassifier,
     RandomForestClassifier,
 )
+from repro.robust import InputValidationError
 from repro.shapley import (
     InterventionalTreeShapExplainer,
     TreeShapExplainer,
@@ -120,3 +121,20 @@ class TestProperties:
         assert not np.allclose(
             path_dep.values, interventional.values, atol=1e-3
         )
+
+
+def test_explain_refuses_bad_instances(data):
+    # The input contract every explainer keeps: NaN or +-inf entries, the
+    # wrong width and an empty row raise instead of attributing.
+    gbm = GradientBoostingClassifier(n_estimators=5, max_depth=2, seed=0)
+    gbm.fit(data.X, data.y)
+    explainer = InterventionalTreeShapExplainer(gbm, data.X[:20])
+    x = data.X[0]
+    bad = [x[:-1], np.append(x, 0.0), np.array([])]
+    for value in (np.nan, np.inf, -np.inf):
+        row = x.copy()
+        row[1] = value
+        bad.append(row)
+    for row in bad:
+        with pytest.raises(InputValidationError):
+            explainer.explain(row)
