@@ -25,6 +25,11 @@ from ..obs.metrics import counter
 
 __all__ = ["UtilityFunction"]
 
+# Fewest fresh subsets ``scores`` hands to ``predict_subsets`` in one call:
+# one or two separate fits are as fast or faster (measured in DESIGN.md,
+# *Data Shapley in lockstep*).
+_MIN_BATCH = 3
+
 
 class UtilityFunction:
     """U(S) = metric(model trained on S, validation data).
@@ -70,7 +75,6 @@ class UtilityFunction:
             )
         self.empty_score = empty_score
         self._cache: dict[tuple[int, ...], float] | None = {} if cache else None
-        self._batched: bool | None = None
         self.n_evaluations = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -78,18 +82,6 @@ class UtilityFunction:
     @property
     def n_points(self) -> int:
         return self.X_train.shape[0]
-
-    @property
-    def batched(self) -> bool:
-        """Whether :meth:`scores` fits a batch of subsets in one model call:
-        ``y_train`` is binary and the factory's model offers
-        ``predict_subsets``."""
-        if self._batched is None:
-            self._batched = bool(
-                np.unique(self.y_train).size == 2
-                and hasattr(self.model_factory(), "predict_subsets")
-            )
-        return self._batched
 
     def full_score(self) -> float:
         """U of the complete training set."""
@@ -115,10 +107,11 @@ class UtilityFunction:
         keys, empty-set and single-class rules, ``n_evaluations`` and
         cache counts (a row repeating an earlier row of the batch is a
         memo hit, as it would be one call later). The fresh subsets that
-        need a fit are fitted last: with two or more of them and a
-        :attr:`batched` utility, one ``predict_subsets`` call solves them
-        all, and each subset whose labels it cannot certify is fitted on
-        its own (``datavalue.certified``, ``datavalue.refits``).
+        need a fit are fitted last: with at least ``_MIN_BATCH`` of them,
+        a binary ``y_train`` and a model offering ``predict_subsets``,
+        one ``predict_subsets`` call solves them all, and each subset
+        whose labels it cannot certify is fitted on its own
+        (``datavalue.certified``, ``datavalue.refits``).
         ``DataValueGame`` evaluates through this method, so a subclass
         that changes ``__call__`` must change it too.
         """
@@ -166,13 +159,16 @@ class UtilityFunction:
     def _fit_scores(self, subsets: np.ndarray) -> list[float]:
         """U of each row of ``subsets``, fresh sets that all need a fit."""
         certified = np.zeros(subsets.shape[0], dtype=bool)
-        if subsets.shape[0] >= 2 and self.batched:
-            labels, certified = self.model_factory().predict_subsets(
-                self.X_train, self.y_train, subsets, self.X_val
-            )
-            n_certified = int(np.count_nonzero(certified))
-            counter("datavalue.certified").inc(n_certified)
-            counter("datavalue.refits").inc(subsets.shape[0] - n_certified)
+        if (subsets.shape[0] >= _MIN_BATCH
+                and np.unique(self.y_train).size == 2):
+            solve = getattr(self.model_factory(), "predict_subsets", None)
+            if solve is not None:
+                labels, certified = solve(self.X_train, self.y_train,
+                                          subsets, self.X_val)
+                n_certified = int(np.count_nonzero(certified))
+                counter("datavalue.certified").inc(n_certified)
+                counter("datavalue.refits").inc(subsets.shape[0]
+                                                - n_certified)
         scores = []
         for row, mask in enumerate(subsets):
             if certified[row]:

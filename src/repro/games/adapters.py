@@ -172,9 +172,7 @@ class DataValueGame(BaseGame):
     across estimators sharing one utility, the mask cache short-circuits
     the index conversion entirely. ``value`` hands all its rows to the
     utility's ``scores`` in one call; a utility offering only
-    ``__call__`` is called row by row. The game is ``batched`` when the
-    utility is: its ``scores`` then fits a whole batch in one model
-    call, so truncated walks may step together.
+    ``__call__`` is called row by row.
     """
 
     deterministic = True
@@ -183,10 +181,6 @@ class DataValueGame(BaseGame):
     def __init__(self, utility) -> None:
         self.utility = utility
         self.n_players = int(utility.n_points)
-
-    @property
-    def batched(self) -> bool:
-        return bool(getattr(self.utility, "batched", False))
 
     @property
     def empty_value(self) -> float:

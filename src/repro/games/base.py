@@ -13,8 +13,7 @@ This module pins down the game side of that statement:
 * optional capability attributes tell the shared evaluator
   (:mod:`repro.games.engine`) and estimators
   (:mod:`repro.games.estimators`) what is safe and what is cheap:
-  ``deterministic`` gates the packed-bit value cache, ``batched`` lets
-  truncated permutation walks step together, ``guarded`` says
+  ``deterministic`` gates the packed-bit value cache, ``guarded`` says
   whether evaluations already pass through a guarded predict function
   (and therefore already charge the ambient
   :class:`repro.robust.GuardScope`), ``rows_per_coalition`` drives
@@ -66,14 +65,6 @@ class BaseGame:
         ``True`` when ``value`` is a pure function of the mask, making
         packed-bit caching sound. Stochastic games (QII-style fresh
         draws per call) must stay ``False``.
-    batched:
-        ``True`` when one ``value`` call over many coalitions costs far
-        less than one call per coalition (a data-value game whose
-        utility fits a whole batch in one model call), and a
-        coalition's value does not depend on the other rows of the
-        call. Truncated permutation walks then advance together, one
-        prefix position per ``value`` call, when no deadline or query
-        budget is in force.
     guarded:
         ``True`` when evaluation already flows through a guarded predict
         function (:func:`repro.core.base.as_predict_fn`), which charges
@@ -108,7 +99,6 @@ class BaseGame:
     n_players: int = 0
     player_names: list[str] | None = None
     deterministic: bool = False
-    batched: bool = False
     guarded: bool = False
     self_evaluating: bool = False
     rows_per_coalition: int = 1

@@ -399,10 +399,10 @@ def permutation_estimator(
         ``|truncation_target − v(prefix)|`` falls below the tolerance
         (TMC-Shapley); the unscanned tail receives zero marginal
         contribution but still counts. ``truncation_target`` defaults
-        to the grand-coalition value, evaluated once. Over a ``batched``
-        game with no deadline or query budget in force, the walks
-        advance together, one prefix position per ``value`` call; the
-        estimate is the same bits either way.
+        to the grand-coalition value, evaluated once. Over a
+        ``deterministic`` game with no deadline or query budget in
+        force, the walks advance together, one prefix position per
+        ``value`` call; the estimate is the same bits either way.
     empty_value:
         Known v(∅). When given, walks never evaluate the empty
         coalition (the datavalue convention); otherwise each walk's
@@ -635,14 +635,15 @@ def permutation_estimator(
 def _walks_step_together(game) -> bool:
     """Whether truncated walks over ``game`` advance in lockstep.
 
-    Only over a ``batched`` game, where one ``value`` call over every
-    walk's next prefix costs about what one prefix does; and only with
-    no deadline or query budget in the ambient guard scope, because
-    budgets are charged and run out prefix by prefix in walk order,
-    which a step over all walks would reorder (``_try_amortized`` keeps
-    its per-row loop under budgets for the same reason).
+    Only over a ``deterministic`` game, whose prefix values do not
+    depend on the order in which the walks' prefixes are evaluated; and
+    only with no deadline or query budget in the ambient guard scope,
+    because budgets are charged and run out prefix by prefix in walk
+    order, which a step over all walks would reorder
+    (``_try_amortized`` keeps its per-row loop under budgets for the
+    same reason).
     """
-    if not getattr(game, "batched", False):
+    if not getattr(game, "deterministic", False):
         return False
     scope = current_scope()
     return scope is None or (

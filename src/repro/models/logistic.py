@@ -159,7 +159,10 @@ class LogisticRegression(Serializable, ClassifierMixin, DifferentiableModel):
         rounding, so ``fit`` too stops on its gradient test; a row still
         running after ``max_iter // 2`` steps is not certified, because
         the argument below needs that. A single-class subset, a
-        singular step or a non-finite value leaves its row uncertified.
+        singular step or a non-finite value leaves its row uncertified,
+        and so does, at ``alpha == 0``, an iterate that separates the
+        row's subset: the objective then has no minimum to certify, and
+        the row leaves the iteration at once.
 
         **Certificate.** Let θ̂ be a row's solution with gradient norm ĝ,
         x̃ = [x, 1] and ρ = ``_CERT_RADIUS``. On the ball of radius ρ
@@ -217,10 +220,17 @@ class LogisticRegression(Serializable, ClassifierMixin, DifferentiableModel):
             for _ in range(self.max_iter // 2):
                 if rows.size == 0:
                     break
-                prob = sigmoid(th @ Xb.T)
+                z = th @ Xb.T
+                prob = sigmoid(z)
                 g = (w * (prob - t)) @ Xb + reg * th
                 norm = np.linalg.norm(g, axis=1)
                 going = norm >= self.tol
+                if self.alpha == 0:
+                    # θ separates the row's subset: unpenalized, the
+                    # objective then has no minimum, so no certificate
+                    # can hold and the row leaves now, uncertified.
+                    going &= ~np.all((w == 0) | np.where(t > 0, z > 0, z < 0),
+                                     axis=1)
                 if not going.all():
                     done = norm < self.tol
                     theta[rows[done]] = th[done]

@@ -143,7 +143,6 @@ class _ToyUtility:
 def test_datavalue_axioms_closed_form():
     weights = np.array([0.5, 0.5, -1.0, 0.0, 2.0])
     game = DataValueGame(_ToyUtility(weights))
-    assert not game.batched   # a utility offering only __call__
     phi = exact_enumeration(game)
     assert np.allclose(phi, weights, atol=ATOL)  # efficiency + all axioms
     assert abs(phi[0] - phi[1]) < ATOL           # symmetry

@@ -134,6 +134,12 @@ class TestLOO:
 _CACHE_COUNTERS = ("datavalue.cache.hits", "datavalue.cache.misses")
 
 
+def _solved_rows():
+    """Rows sent to ``predict_subsets`` so far, certified or not."""
+    return (counter("datavalue.certified").value
+            + counter("datavalue.refits").value)
+
+
 def _per_row_and_batch(build, masks):
     """``scores(masks)`` on one fresh utility and the per-row ``__call__``
     loop on another, each with its counters: (values, counts) twice."""
@@ -198,10 +204,11 @@ class TestBatchedUtility:
             return UtilityFunction(lambda: LogisticRegression(alpha=1.0),
                                    X_train, y_train, X[60:], y[60:])
 
-        assert not build().batched
         masks = _mixed_masks(y_train) & two[:60]
+        solved = _solved_rows()
         (got, got_counts), (want, want_counts) = _per_row_and_batch(build,
                                                                     masks)
+        assert _solved_rows() == solved   # no predict_subsets call
         assert np.array_equal(got, want)
         assert got_counts == want_counts
 
@@ -218,14 +225,27 @@ class TestBatchedUtility:
             lambda: UtilityFunction(lambda: LogisticRegression(alpha=0.1),
                                     *data, metric=balanced),
         ]
-        assert not builds[0]().batched
-        assert builds[1]().batched
-        for build in builds:
+        for build, batched in zip(builds, (False, True)):
+            solved = _solved_rows()
             (got, got_counts), (want, want_counts) = _per_row_and_batch(
                 build, masks
             )
+            assert (_solved_rows() > solved) == batched
             assert np.array_equal(got, want)
             assert got_counts == want_counts
+
+    def test_fewer_than_three_fresh_subsets_are_fitted_one_by_one(
+        self, valuation_setup
+    ):
+        __, ___, data = valuation_setup
+        masks = np.random.default_rng(1).random((3, data[1].shape[0])) < 0.7
+        for k, batched in ((2, False), (3, True)):
+            utility = UtilityFunction(lambda: LogisticRegression(alpha=1.0),
+                                      *data)
+            solved = _solved_rows()
+            utility.scores(masks[:k])
+            assert utility.n_evaluations == k
+            assert _solved_rows() - solved == (k if batched else 0)
 
 
 class TestKnnShapleyExactness:

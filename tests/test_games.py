@@ -491,7 +491,6 @@ class TestGracefulDegradationAcrossGames:
                 return utility(indices)
 
         game = DataValueGame(FlakyUtility())
-        assert not game.batched
         with guard_scope(GuardConfig(query_budget=60)):
             est = permutation_estimator(
                 game, n_permutations=50, antithetic=False, seed=0,
@@ -510,7 +509,6 @@ class TestGracefulDegradationAcrossGames:
         assert counter("robust.budget_exhausted").value > 0
 
     def test_walks_step_together_only_without_a_budget(self, wide_utility):
-        assert DataValueGame(wide_utility()).batched
         tracer = obs.get_tracer()
 
         def widths():
@@ -530,6 +528,33 @@ class TestGracefulDegradationAcrossGames:
         assert convergence["n_walks_completed"] == 5
         assert att.meta["mean_truncation_position"] == 27.2
         assert att.meta["n_utility_evaluations"] == 146
+
+    def test_walks_over_a_stochastic_game_go_one_at_a_time(self,
+                                                          wide_utility):
+        # A game that is not deterministic may draw afresh on every call,
+        # so its walks keep the one-walk evaluation order.
+        class FreshDraws(DataValueGame):
+            deterministic = False
+
+        def run(game_cls):
+            utility = wide_utility()
+            mark = tracer.mark()
+            est = permutation_estimator(
+                game_cls(utility), n_permutations=6, antithetic=False,
+                seed=4, truncation_tolerance=0.02,
+                truncation_target=utility.full_score(),
+                empty_value=utility.empty_score, aggregate="sum_counts",
+            )
+            widths = [s.attrs["n_coalitions"] for s in tracer.spans_since(mark)
+                      if s.name == "coalition_eval"]
+            return est, widths
+
+        tracer = obs.get_tracer()
+        together, wide = run(DataValueGame)
+        alone, narrow = run(FreshDraws)
+        assert max(wide) == 6
+        assert set(narrow) == {1}
+        assert np.array_equal(together.values, alone.values)
 
     def test_budget_exhaustion_before_any_walk_raises(self, tiny_utility_pair):
         from repro.robust import BudgetExceededError

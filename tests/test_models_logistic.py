@@ -207,6 +207,33 @@ def test_predict_subsets_does_not_certify_a_separable_subset_without_penalty():
     assert np.array_equal(labels[1], want)
 
 
+def test_predict_subsets_stops_on_a_separated_subset_without_penalty(
+    monkeypatch
+):
+    # Once an iterate separates the subset, the unpenalized objective has
+    # no minimum to certify: the row leaves at once instead of running
+    # Newton steps until its gradient vanishes (23 steps at alpha=1e-12).
+    import repro.models.logistic as logistic
+
+    x = np.linspace(-2.0, 2.0, 20)
+    X = x[:, None]
+    y = (x > 0).astype(int)
+    mask = np.ones((1, 20), dtype=bool)
+    steps = []
+    solve = logistic._solve_stack
+    monkeypatch.setattr(logistic, "_solve_stack",
+                        lambda H, g: steps.append(g.shape[0]) or solve(H, g))
+    __, certified = LogisticRegression(alpha=0.0).predict_subsets(X, y, mask,
+                                                                  X)
+    assert not certified[0]
+    assert len(steps) <= 2
+    steps.clear()
+    __, certified = LogisticRegression(alpha=1e-12).predict_subsets(X, y,
+                                                                    mask, X)
+    assert not certified[0]
+    assert len(steps) > 10
+
+
 def test_predict_subsets_does_not_certify_a_point_on_the_boundary(separable):
     # fit's margin at a point on its own decision boundary is ~0, so the
     # batched solution's rounding could flip that label: no certificate.
