@@ -3,8 +3,9 @@
 Claim: when a batch of instances is explained together, the work that
 does not depend on the row — coalition sampling, permutation draws,
 kernel weights, TreeSHAP tree decompositions — should be paid once per
-batch, not once per row. The shared :class:`repro.games.plan.CoalitionPlan`
-plus the fused ``batch_value_matrix`` grid make batch sampling-SHAP ≥5×
+batch, not once per row. One permutation estimate over a masking game
+that holds every row (the walks drawn once, each coalition's rows
+predicted together) makes batch sampling-SHAP ≥5×
 faster than the per-row loop at an equal walk budget, and the cached
 :class:`repro.shapley.tree.TreePrecompute` plus the vectorized batch
 kernel make batch TreeSHAP ≥10× faster than the per-instance recursion.
@@ -13,10 +14,11 @@ under the same seed; the fused tree kernel is bitwise stable across
 backends and batch splits and agrees with the scalar recursion to float
 accumulation order (different child-visit order).
 
-The table reports the precompute/plan build cost separately from the
+The table reports the precompute cost separately from the
 per-instance explain cost, so the amortization structure (fixed cost
 once, marginal cost per row) is visible rather than folded into one
-number.
+number, and the walks the batch drew, which must be the walk budget
+of one row.
 """
 
 import time
@@ -36,7 +38,7 @@ BATCH_TREE = 256
 def test_e42_amortized_batch(loan_setup):
     data, logistic, gbm = loan_setup
 
-    # -- sampling SHAP: shared coalition plan vs per-row re-sampling ------
+    # -- sampling SHAP: one batch estimate vs per-row re-sampling --------
     # The logistic model keeps the (identical-on-both-paths) model-eval
     # cost small, so the measured gap is the amortizable work itself:
     # permutation draws, walk loops, and per-call dispatch overhead.
@@ -51,13 +53,11 @@ def test_e42_amortized_batch(loan_setup):
     serial_atts = [per_row.explain(x) for x in X]
     wall_per_row = time.perf_counter() - t0
 
-    built_before = obs.counter("coalition.plan.built").value
-    reused_before = obs.counter("coalition.plan.reused").value
+    walks_before = obs.counter("games.walks").value
     t0 = time.perf_counter()
     batch_atts = amortized.explain_batch(X, backend="serial")
     wall_batch = time.perf_counter() - t0
-    plans_built = obs.counter("coalition.plan.built").value - built_before
-    plan_reuses = obs.counter("coalition.plan.reused").value - reused_before
+    batch_walks = obs.counter("games.walks").value - walks_before
 
     # Equal budget, identical bits: amortization is a pure perf change.
     for serial_att, batch_att in zip(serial_atts, batch_atts):
@@ -106,7 +106,7 @@ def test_e42_amortized_batch(loan_setup):
         fmt_row("tree precompute", precompute_s, "(once)", "-"),
         fmt_row("tree batch", wall_tree_batch,
                 wall_tree_batch / BATCH_TREE * 1e3, tree_speedup),
-        fmt_row("plan", "built", plans_built, "reused", plan_reuses),
+        fmt_row("batch walks", batch_walks, "budget", N_PERMUTATIONS),
     ]
     emit(
         "E42_amortized_batch",
@@ -126,8 +126,7 @@ def test_e42_amortized_batch(loan_setup):
                 "precompute_s": precompute_s,
                 "speedup": tree_speedup,
             },
-            "plans_built": int(plans_built),
-            "plan_reuses": int(plan_reuses),
+            "batch_walks": int(batch_walks),
         },
         summary={
             "sampling_speedup": round(sampling_speedup, 3),
@@ -135,9 +134,9 @@ def test_e42_amortized_batch(loan_setup):
         },
     )
 
-    # Headline floors: one plan drawn, every other row rides it; batch
-    # sampling ≥5× the per-row loop, batch TreeSHAP ≥10× the recursion.
-    assert plans_built == 1
-    assert plan_reuses == BATCH_SAMPLING - 1
+    # Headline floors: the batch drew its walks once (the walk budget,
+    # not budget × rows); batch sampling ≥5× the per-row loop, batch
+    # TreeSHAP ≥10× the recursion.
+    assert batch_walks == N_PERMUTATIONS
     assert sampling_speedup >= 5.0
     assert tree_speedup >= 10.0

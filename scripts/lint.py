@@ -320,9 +320,10 @@ def check_bespoke_shapley(src: Source):
 
     Plain uses of ``rng.permutation`` (shuffling minibatch order,
     permuting rows for a baseline) do not accumulate per-player marginals
-    and pass. ``src/repro/games/`` is exempt: that is where the one loop
-    lives. Marker: the ``.permutation(...)`` line, for retained
-    ``legacy_*`` parity implementations.
+    and pass. ``src/repro/games/estimators.py`` is exempt: that is where
+    the one walk scheduler lives, and the only file of ``repro.games``
+    that draws a permutation. Marker: the ``.permutation(...)`` line,
+    for retained ``legacy_*`` parity implementations.
     """
     if not _has_method_call(src, "permutation"):
         return []
@@ -414,13 +415,12 @@ def _explain_call_lines(node: ast.AST):
 def check_batch_loops(src: Source):
     """Forbid per-row ``explain()`` loops in library code.
 
-    The amortized batch path only pays off if callers go through
-    ``explain_batch``: a shared coalition plan is drawn once per batch,
+    The batch path only pays off if callers go through
+    ``explain_batch``: one estimate draws the walks once for every row,
     the TreeSHAP precompute is reused across rows, and fused model calls
     replace per-row re-sampling. The easy regression is a new aggregation
     helper writing ``for x in X: explainer.explain(x)`` and silently
-    forfeiting the amortization (plus its ``coalition.plan.*``
-    telemetry).
+    forfeiting all of that.
 
     Any ``<something>.explain(...)`` call inside a ``for``/``while`` loop
     or a comprehension is an offence. Nested function definitions reset
@@ -447,7 +447,7 @@ def check_batch_loops(src: Source):
                         line,
                         "per-row explain() inside a loop "
                         f"(loop at line {header}); use explain_batch so the "
-                        "amortized path (shared plans, tree precompute) "
+                        "batch path (one estimate, tree precompute) "
                         "applies",
                     ))
     return found
@@ -716,7 +716,7 @@ RULES = (
         "repro.games.permutation_estimator, or mark a retained legacy "
         "implementation with `# games: allow`)",
         check_bespoke_shapley,
-        exempt=lambda rel: rel.startswith("src/repro/games/"),
+        exempt=lambda rel: rel == "src/repro/games/estimators.py",
     ),
     Rule(
         "metric-names",

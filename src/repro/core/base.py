@@ -24,7 +24,10 @@ budgets are per explanation (each row of a batch budgets independently,
 on every backend). ``explain_batch`` degrades
 gracefully: per-row failures are captured, completed rows survive, and
 the caller gets them back either via ``return_errors=True`` or on the
-:class:`repro.robust.PartialBatchError` raised by default.
+:class:`repro.robust.PartialBatchError` raised by default. Explainers
+whose ``explain`` is the one-row case of an ``_explain_rows`` method
+serve a budget-free batch with one call of it (one estimate for every
+row), and fall back to the per-row loop when that call fails.
 """
 
 from __future__ import annotations
@@ -57,13 +60,13 @@ _PLAN_FALLBACKS = "coalition.plan.fallbacks"
 
 
 def _budgets_configured(guard) -> bool:
-    """Whether a guard deadline or model-query budget is in force.
+    """Whether a guard deadline or model-query budget is configured.
 
-    The amortized batch path evaluates many rows inside one guard
-    scope, which would silently convert per-*row* budgets into a
-    per-*batch* budget; explainers with an active deadline or query
-    budget therefore keep the per-row loop, whose scope-per-row
-    semantics the robust tests pin down.
+    The fused batch call explains many rows inside one guard scope,
+    which would silently convert per-*row* budgets into a per-*batch*
+    budget; explainers with a deadline or query budget therefore keep
+    the per-row loop, whose scope-per-row semantics the robust tests pin
+    down.
     """
     cfg = guard if isinstance(guard, GuardConfig) else GuardConfig()
     return cfg.limits() != (None, None)
@@ -276,16 +279,18 @@ class AttributionExplainer(Explainer):
         :class:`repro.robust.PartialBatchError` carrying the same
         partial results. Failed rows increment ``robust.rows_failed``.
 
-        Amortization: explainers implementing the ``_amortized_context``
-        / ``_amortized_rows`` hook pair (the sampling/kernel/QII/
-        conditional SHAP family) serve the whole batch from one shared
-        :class:`repro.games.plan.CoalitionPlan` — bitwise-identical
-        seeded attributions without per-row re-sampling. The fused path
-        is skipped in favour of the per-row loop (``amortized=False`` on
-        the batch span) when the batch has a single row, when extra
-        ``explain`` kwargs beyond ``feature_names`` are passed, or when
-        guard deadlines/query budgets are configured (those are per-row
-        semantics the fused path cannot honour); a mid-fuse failure increments
+        Fused call: explainers with an ``_explain_rows(X,
+        feature_names, backend, n_procs)`` method (sampling, kernel, QII
+        and conditional SHAP; their ``explain`` is its one-row case)
+        explain the whole batch in one call of it — one estimate whose
+        game holds every row, bitwise-identical per row to ``explain``.
+        The batch ``backend`` then shards that estimate's walks or
+        coalitions, not rows. The call is skipped in favour of the
+        per-row loop (``amortized=False`` on the batch span) when the
+        batch has a single row, when extra ``explain`` kwargs beyond
+        ``feature_names`` are passed, or when guard deadlines/query
+        budgets are configured (those are per-row semantics one call
+        cannot honour); a failure inside it increments
         ``coalition.plan.fallbacks`` and falls back to the loop.
         """
         X = batch_matrix(X)
@@ -297,7 +302,7 @@ class AttributionExplainer(Explainer):
             except Exception as e:
                 return None, BatchRowError(index=i, error=e)
 
-        outcomes = self._try_amortized(X, backend_name, n_procs, kwargs)
+        outcomes = self._try_fused(X, backend_name, n_procs, kwargs)
         if outcomes is None:
             if backend_name == "serial" or X.shape[0] <= 1:
                 outcomes = [run_row(i, x) for i, x in enumerate(X)]
@@ -307,82 +312,43 @@ class AttributionExplainer(Explainer):
                 )
         return finish_batch(outcomes, return_errors)
 
-    def _try_amortized(self, X, backend_name, n_procs, kwargs):
-        """Run the shared-plan batch path if eligible, else ``None``.
+    def _try_fused(self, X, backend_name, n_procs, kwargs):
+        """Explain the batch in one ``_explain_rows`` call if eligible,
+        else ``None``.
 
         Returns one ``(result, error)`` outcome per row, like the per-row
-        loop. Rows with non-finite entries never enter the fused path:
-        they fail with the :class:`InputValidationError` that ``explain``
-        would raise for them, and the rest stay fused. Eligibility gates
-        keep the fused path strictly behaviour-preserving; any exception
-        inside it counts a ``coalition.plan.fallbacks`` and yields the
-        per-row loop. The ambient batch span gets an ``amortized``
+        loop. Rows with non-finite entries never enter the call: they
+        fail with the :class:`InputValidationError` that ``explain``
+        would raise for them, and the rest stay fused. Any exception
+        inside the call counts a ``coalition.plan.fallbacks`` and yields
+        the per-row loop. The ambient batch span gets an ``amortized``
         attribute either way.
         """
-        amortized = False
+        fused = False
         outcomes = None
         if (
             X.shape[0] >= 2
-            and hasattr(self, "_amortized_rows")
+            and hasattr(self, "_explain_rows")
             and set(kwargs) <= {"feature_names"}
-            and self._amortized_supported()
             and not _budgets_configured(self.guard_config)
         ):
             outcomes, keep = screen_rows(X)
             try:
                 if keep.size:
-                    results = self._run_amortized(
+                    results = self._explain_rows(
                         X if keep.size == X.shape[0] else X[keep],
-                        backend_name, n_procs, **kwargs,
+                        backend=backend_name, n_procs=n_procs, **kwargs,
                     )
                     for i, result in zip(keep, results):
                         outcomes[i] = (result, None)
-                amortized = True
+                fused = True
             except Exception:
                 metrics.counter(_PLAN_FALLBACKS).inc()
                 outcomes = None
         sp = current_span()
         if sp is not None:
-            sp.set_attr("amortized", amortized)
+            sp.set_attr("amortized", fused)
         return outcomes
-
-    def _amortized_supported(self) -> bool:
-        """Explainer-specific veto for the amortized path (default: on)."""
-        return True
-
-    def _run_amortized(self, X, backend_name, n_procs, **kwargs):
-        """Shared-plan batch execution: one context, row-sharded evaluation.
-
-        ``_amortized_context`` builds everything row-independent (the
-        coalition plan, precomputed structures) parent-side exactly
-        once; ``_amortized_rows`` then evaluates a contiguous row range
-        against it. On the process backend the context ships to forked
-        workers via copy-on-write memory — once per worker, not per
-        shard — and the thread backend shares it in-process.
-        """
-        ctx = self._amortized_context(X, **kwargs)
-        n_rows = X.shape[0]
-        workers = 1 if backend_name == "serial" else resolve_n_procs(n_procs)
-        if workers < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-        plan = plan_shards(n_rows, workers)
-        if plan.n_shards < 2:
-            return self._amortized_rows(X, 0, n_rows, ctx, **kwargs)
-
-        def run_shard(bounds):
-            lo, hi = bounds
-            return self._amortized_rows(X, lo, hi, ctx, **kwargs)
-
-        outcomes = map_shards(
-            run_shard, list(plan.slices), backend=backend_name,
-            n_procs=workers, split_scope=False,
-        )
-        results = []
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise outcome.error
-            results.extend(outcome.value)
-        return results
 
     def _run_batch_sharded(self, X, run_row, n_procs, backend):
         """Row-sharded ``explain_batch`` on a thread or process pool.

@@ -12,8 +12,10 @@ post-hoc explainers is exactly this model-query bill, and the meters in
   background)`` replaces the historical per-coalition Python loop.
 * **Memory-bounded chunking** — ``max_batch_rows`` (env
   ``REPRO_MAX_BATCH_ROWS``) splits huge coalition×background blocks into
-  bounded predict-fn calls instead of one giant allocation; the chunk
-  geometry is surfaced on the ``coalition_eval`` span.
+  bounded predict-fn calls instead of one giant allocation, also when
+  one coalition over a matrix of instances holds more rows than the
+  bound (:func:`block_predict`); the chunk geometry is surfaced on the
+  ``coalition_eval`` span.
 * **Coalition-value caching** — identical masks are deduplicated within
   and across calls via packed-bit keys, so paired/antithetic permutation
   walks and the fully-enumerated small sizes of Kernel SHAP never pay
@@ -64,6 +66,7 @@ __all__ = [
     "broadcast_expand",
     "legacy_expand",
     "batched_predict",
+    "block_predict",
     "CoalitionValueCache",
     "CoalitionEngine",
 ]
@@ -140,6 +143,24 @@ def batched_predict(
     return out
 
 
+def block_predict(
+    predict_fn: Callable[[np.ndarray], np.ndarray],
+    rows: np.ndarray,
+    block: int,
+    max_batch_rows: int | None = None,
+) -> np.ndarray:
+    """:func:`batched_predict` with every chunk edge on a block edge.
+
+    ``rows`` is a stack of ``block``-row blocks (one coalition's
+    background rows, one neighbour set); each call takes as many whole
+    blocks as fit in ``max_batch_rows`` (at least one), so no predict
+    call splits a block or receives a lone row that a one-instance
+    evaluation would have predicted among others.
+    """
+    limit = max(1, int(setting("REPRO_MAX_BATCH_ROWS", max_batch_rows)))
+    return batched_predict(predict_fn, rows, max(1, limit // block) * block)
+
+
 @register_serializable("core.CoalitionValueCache")
 class CoalitionValueCache:
     """Memo of coalition values keyed by packed-bit masks.
@@ -188,42 +209,6 @@ class CoalitionValueCache:
         except (ValueError, TypeError, AttributeError) as e:
             raise PayloadError(f"malformed cache entries: {e}") from e
         return out
-
-
-class _FusedMaskingGame:
-    """The ``instance × coalition`` grid as a position-keyed game.
-
-    Position ``p`` is coalition ``p % n_coalitions`` fixed to instance
-    ``X[p // n_coalitions]``, so one evaluator chunk can span row
-    boundaries; each position's value is still the mean over its own
-    background block only.
-    """
-
-    guarded = True
-
-    def __init__(self, model_fn, X: np.ndarray, n_coalitions: int,
-                 background: np.ndarray) -> None:
-        self.model_fn = model_fn
-        self.X = X
-        self.n_coalitions = n_coalitions
-        self.background = background
-        self.n_players = X.shape[1]
-        self.rows_per_coalition = background.shape[0]
-
-    def value_at(self, positions: np.ndarray, masks: np.ndarray
-                 ) -> np.ndarray:
-        rows = np.where(
-            masks[:, None, :],
-            self.X[positions // self.n_coalitions][:, None, :],
-            self.background[None, :, :],
-        ).reshape(masks.shape[0] * self.rows_per_coalition, self.n_players)
-        preds = np.asarray(self.model_fn(rows), dtype=float).ravel()
-        return preds.reshape(masks.shape[0], self.rows_per_coalition).mean(
-            axis=1
-        )
-
-    def value(self, masks: np.ndarray) -> np.ndarray:
-        return self.value_at(np.arange(masks.shape[0]), masks)
 
 
 @register_serializable("core.CoalitionEngine")
@@ -313,13 +298,15 @@ class CoalitionEngine:
 
         Opt-in pre-warming from a persisted snapshot
         (``REPRO_CACHE_SNAPSHOT``): scope tokens keep foreign snapshots
-        out, and a broken snapshot never fails the explanation.
+        out, and a broken snapshot never fails the explanation. A store
+        for a matrix of instances (a row of values per coalition) is
+        never pre-warmed: snapshots hold one instance's values.
         """
         if not (cache and setting("REPRO_COALITION_CACHE")):
             return None
         from ..persist.snapshot import maybe_prewarm, scope_token
         store = CoalitionValueCache()
-        if setting("REPRO_CACHE_SNAPSHOT") is not None:
+        if setting("REPRO_CACHE_SNAPSHOT") is not None and np.ndim(x) == 1:
             maybe_prewarm(store, scope_token(x, self.background))
         return store
 
@@ -329,35 +316,26 @@ class CoalitionEngine:
         X: np.ndarray,
         coalitions: np.ndarray,
     ) -> np.ndarray:
-        """Fused ``v(S)`` over a batch of instances × shared coalitions.
+        """``v(S)`` over a batch of instances × shared coalitions.
 
         Returns a ``(n_instances, n_coalitions)`` matrix: entry
         ``[r, c]`` is the mean model output over the background with
         coalition ``c`` fixed to instance ``r`` — exactly what
-        ``value_function(model_fn, X[r])(coalitions)[c]`` computes, but
-        evaluated as one flattened ``instance × coalition`` grid so
-        chunks can span row boundaries and small per-row mask sets no
-        longer pay one model call each. Each coalition block is averaged
-        over its own background rows only, so values are bitwise
-        independent of the chunk geometry (the same invariant
-        :func:`batched_predict` relies on); the amortized
-        ``explain_batch`` parity tests assert this against the per-row
-        path. Callers pass pre-deduplicated coalitions (a
-        :class:`repro.games.plan.CoalitionPlan`); no value cache is
-        consulted here.
+        ``value_function(model_fn, X[r])(coalitions)[c]`` computes. One
+        uncached :class:`~repro.games.adapters.FeatureMaskingGame` over
+        the instance matrix evaluates it, so no predict call exceeds
+        ``max_batch_rows`` rows.
         """
-        # Deferred import: repro.games imports this module at package init.
+        from ..games.adapters import FeatureMaskingGame
         from ..games.engine import game_value_function
 
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
-        n_rows, n_c = X.shape[0], coalitions.shape[0]
-        game = _FusedMaskingGame(model_fn, X, n_c, self.background)
         v = game_value_function(
-            game, cache=False, max_batch_rows=self.max_batch_rows,
-            chunk_retries=self.chunk_retries,
+            FeatureMaskingGame(model_fn, X, engine=self, cache=False)
         )
-        return v(np.tile(coalitions, (n_rows, 1))).reshape(n_rows, n_c)
+        return np.ascontiguousarray(
+            v(coalitions).reshape(-1, X.shape[0]).T
+        )
 
     def value_function(
         self,

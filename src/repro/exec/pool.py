@@ -53,12 +53,13 @@ The thread backend runs the same contract on a ``ThreadPoolExecutor``
 with context-copied workers — metrics and spans need no marshalling
 (shared address space), only the budget split applies.
 
-The fork-inheritance design is also what makes the amortized batch path
-(PR 7) cheap to shard: a shared :class:`~repro.games.plan.CoalitionPlan`
-or :class:`~repro.shapley.tree.TreePrecompute` built once in the parent
-reaches every worker via copy-on-write memory — per shard only the
-``(lo, hi)`` row slice crosses the pickle boundary, never the plan's
-mask/permutation arrays or the tree tables.
+The fork-inheritance design is also what makes batch explanation cheap
+to shard: the pre-drawn permutations of a batch estimate (whose game
+holds every row) or a :class:`~repro.shapley.tree.TreePrecompute` built
+once in the parent reach every worker via copy-on-write memory — per
+shard only the ``(lo, hi)`` walk or row slice crosses the pickle
+boundary, never the permutation arrays, the instance matrix or the tree
+tables.
 """
 
 from __future__ import annotations

@@ -8,9 +8,17 @@ the same cached/chunked/guarded pipeline (:mod:`repro.games.engine`),
 estimates with a shared suite (:mod:`repro.games.estimators`), and
 adapts each workload in :mod:`repro.games.adapters`.
 
+One walk scheduler: :func:`~repro.games.estimators.permutation_estimator`
+and :func:`~repro.games.estimators.kernel_wls_estimator` are the only
+code that draws walks or coalition designs, dedupes coalitions (through
+the evaluator's cache) and reduces walks — for one instance and for a
+batch alike, since a game over a matrix of instances returns one row of
+values per coalition. ``explain_batch`` of the Shapley explainers is one
+estimate over such a game, not a second scheduler.
+
 A bespoke-loop lint (the ``bespoke-shapley`` rule of ``scripts/lint.py``,
 enforced in tier-1) keeps new permutation-accumulation loops from growing
-back outside this package.
+back anywhere but ``estimators.py``.
 """
 
 from .adapters import (
@@ -23,7 +31,7 @@ from .adapters import (
     sample_topological_order,
 )
 from .base import BaseGame, FunctionGame, Game, as_game, walk_masks
-from .engine import amortized_plan_values, game_value_function
+from .engine import coalition_value, game_value_function
 from .estimators import (
     EstimatorState,
     PermutationEstimate,
@@ -35,13 +43,6 @@ from .estimators import (
     solve_kernel_wls,
     stratified_estimator,
 )
-from .plan import (
-    CoalitionPlan,
-    kernel_plan,
-    mean_walks_reduce,
-    permutation_plan,
-    shared_plan,
-)
 
 __all__ = [
     "Game",
@@ -50,12 +51,7 @@ __all__ = [
     "as_game",
     "walk_masks",
     "game_value_function",
-    "amortized_plan_values",
-    "CoalitionPlan",
-    "permutation_plan",
-    "kernel_plan",
-    "shared_plan",
-    "mean_walks_reduce",
+    "coalition_value",
     "EstimatorState",
     "solve_kernel_wls",
     "PermutationEstimate",

@@ -10,7 +10,8 @@ uniformly:
 Adapter                  Players / value of a coalition S
 =======================  ====================================================
 FeatureMaskingGame       features / E_b[f(x_S, b_{N∖S})] over a background
-                         sample (kernel, sampling and exact SHAP)
+                         sample (kernel, sampling and exact SHAP), for
+                         one instance or a matrix of them
 DataValueGame            training points / validation score of a model
                          retrained on S (Data, Beta, distributional Shapley)
 TupleProvenanceGame      endogenous tuples / query answer on S plus the
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.coalition_engine import CoalitionEngine, broadcast_expand
+from ..core.coalition_engine import CoalitionEngine, block_predict
 from ..models.metrics import accuracy
 from ..persist.protocol import register_serializable
 from .base import BaseGame
@@ -63,6 +64,13 @@ class FeatureMaskingGame(BaseGame):
     :meth:`~repro.core.coalition_engine.CoalitionEngine.new_store`) and
     the engine's ``max_batch_rows`` / ``chunk_retries`` off the game —
     so every evaluator built over one game shares one store.
+
+    ``x`` may be a matrix of instances: ``value`` then returns one row
+    of values per coalition, instance r's entry being exactly what the
+    game over ``x[r]`` alone returns (each instance's background block
+    is averaged on its own, and predict calls split only on block
+    edges, :func:`~repro.core.coalition_engine.block_predict`). A
+    coalition then costs instances × background model rows.
 
     Transport: ``__getstate__`` reduces the game to its rebuild recipe —
     the underlying *model* (via the predict function's
@@ -100,9 +108,12 @@ class FeatureMaskingGame(BaseGame):
                 max_batch_rows=max_batch_rows,
             )
         self.engine = engine
-        self.x = np.asarray(x, dtype=float).ravel()
-        self.n_players = self.x.shape[0]
-        self.rows_per_coalition = engine.n_background
+        x = np.asarray(x, dtype=float)
+        self.x = x if x.ndim == 2 else x.ravel()
+        self.n_players = self.x.shape[-1]
+        self.rows_per_coalition = engine.n_background * (
+            self.x.shape[0] if self.x.ndim == 2 else 1
+        )
         self.max_batch_rows = engine.max_batch_rows
         self.chunk_retries = engine.chunk_retries
         self._predict_fn = predict_fn
@@ -110,9 +121,18 @@ class FeatureMaskingGame(BaseGame):
         self.cache = engine.new_store(self.x, cache)
 
     def value(self, coalitions: np.ndarray) -> np.ndarray:
-        rows = broadcast_expand(self.x, coalitions, self.engine.background)
-        preds = np.asarray(self._predict_fn(rows), dtype=float).ravel()
-        return preds.reshape(-1, self.rows_per_coalition).mean(axis=1)
+        coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
+        background = self.engine.background
+        n_b = background.shape[0]
+        instances = np.atleast_2d(self.x)
+        rows = np.where(
+            coalitions[:, None, None, :], instances[None, :, None, :],
+            background[None, None, :, :],
+        ).reshape(-1, self.n_players)
+        preds = block_predict(self._predict_fn, rows, n_b,
+                              self.max_batch_rows)
+        values = preds.reshape(coalitions.shape[0], -1, n_b).mean(axis=2)
+        return values if self.x.ndim == 2 else values[:, 0]
 
     def __getstate__(self) -> dict:
         spec = getattr(self._predict_fn, "__repro_spec__", None)

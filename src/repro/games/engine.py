@@ -23,24 +23,26 @@ games alike; each game's ``value`` computes only its own rows:
   (``robust.retries``), and any chunk that still dies with
   :class:`~repro.robust.ModelEvaluationError` is retried whole
   (``robust.chunk_retries``);
+* **fault bisection**: a chunk of more than one coalition whose retries
+  run out is evaluated again as two halves, recursively, so a fault
+  rate per coalition cannot sink a whole chunk; only a one-coalition
+  chunk raises;
 * **span telemetry**: every call opens a ``coalition_eval`` span
   carrying the game class, chunk geometry and cache hit/miss counts.
+
+A game's value may carry a trailing axis: a game over a matrix of
+instances (:class:`~repro.games.adapters.FeatureMaskingGame`, the
+conditional SHAP game) returns one row of values per coalition, and the
+cache stores that row under the coalition's key. ``max_batch_rows`` then
+bounds coalitions per call through ``rows_per_coalition`` (instances ×
+background rows), and the game itself splits a coalition whose rows
+alone exceed it.
 
 Position-seeded games (``value_at``) are cached by ``(row, mask)``
 instead of mask alone: their randomness is keyed to the batch row (the
 interventional SCM value function seeds ``seed + row``), so the same
 mask at the same walk position is deterministic — and cacheable —
 while masks at different positions stay distinct.
-
-The amortized ``explain_batch`` path (PR 7) evaluates a shared
-:class:`repro.games.plan.CoalitionPlan` instead of re-sampling per row:
-masking-family explainers go through
-:meth:`repro.core.coalition_engine.CoalitionEngine.batch_value_matrix`
-(one fused ``batch × coalitions`` grid, evaluated here as a
-position-keyed game), and game-shaped value functions without an
-engine go through :func:`amortized_plan_values` — one
-``coalition_eval`` span per row covering every unique mask the whole
-walk schedule visits.
 """
 
 from __future__ import annotations
@@ -65,34 +67,47 @@ from ..robust.guard import (
 )
 from .base import as_game
 
-__all__ = ["game_value_function", "amortized_plan_values"]
+__all__ = ["game_value_function", "coalition_value"]
 
 _CHUNK_RETRIES = "robust.chunk_retries"
 
 
-def amortized_plan_values(value_fn, plan) -> np.ndarray:
-    """Evaluate one row's value function over a plan's unique coalitions.
+def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
+    """One chunk through the game, with budgets, retries and charging.
 
-    The fused counterpart of calling ``value_fn`` once per walk: every
-    distinct mask the plan's walk schedule visits is evaluated in a
-    single batched call (the value function's own internal batching —
-    e.g. the conditional explainer's stacked neighbor blocks — then
-    collapses the whole schedule into O(1) model calls). Per-mask
-    values are bitwise-identical to the per-walk path because each
-    mask's value never depends on what else is in the batch.
+    When the chunk's retries run out and it holds more than one
+    coalition, its two halves are evaluated separately, recursively,
+    each with a fresh allowance; a one-coalition chunk raises.
     """
-    masks = plan.unique_masks
-    with span(
-        "coalition_eval", n_coalitions=masks.shape[0], game="plan",
-        amortized=True,
-    ) as sp:
-        vals = np.asarray(value_fn(masks), dtype=float).ravel()
-        sp.set_attr("plan_kind", plan.kind)
+    try:
+        vals = _attempt_chunk(game, positions, masks, guarded, rows_per,
+                              chunk_retries)
+    except ModelEvaluationError:
+        if masks.shape[0] < 2:
+            raise
+        half = masks.shape[0] // 2
+        halves = [
+            _evaluate_chunk(
+                game, None if positions is None else positions[part],
+                masks[part], guarded, rows_per, chunk_retries,
+            )
+            for part in (slice(None, half), slice(half, None))
+        ]
+        return np.concatenate(halves)
+    if vals.shape[0] != masks.shape[0]:
+        raise ModelEvaluationError(
+            f"{type(game).__name__}.value returned {vals.shape[0]} values "
+            f"for {masks.shape[0]} coalitions"
+        )
+    if not guarded:
+        scope = current_scope()
+        if scope is not None:
+            scope.rows_spent += masks.shape[0] * rows_per
     return vals
 
 
-def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
-    """One chunk through the game, with budgets, retries and charging."""
+def _attempt_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
+    """The chunk's values, retried until the allowance runs out."""
     n_rows = masks.shape[0] * rows_per
     scope = None if guarded else current_scope()
     retries = None
@@ -106,8 +121,10 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                 vals = game.value_at(positions, masks)
             else:
                 vals = game.value(masks)
-            vals = np.asarray(vals, dtype=float).ravel()
-            break
+            vals = np.asarray(vals, dtype=float)
+            # A row of values per coalition stays a row; anything else
+            # is one value per coalition.
+            return vals if vals.ndim == 2 else vals.ravel()
         except (BudgetExceededError, InputValidationError):
             raise
         except ModelEvaluationError:
@@ -134,14 +151,6 @@ def _evaluate_chunk(game, positions, masks, guarded, rows_per, chunk_retries):
                 ) from e
             _note_retry(scope)
             _backoff_sleep(_ENV_GUARD, backoff, failures, scope)
-    if vals.shape[0] != masks.shape[0]:
-        raise ModelEvaluationError(
-            f"{type(game).__name__}.value returned {vals.shape[0]} values "
-            f"for {masks.shape[0]} coalitions"
-        )
-    if scope is not None:
-        scope.rows_spent += n_rows
-    return vals
 
 
 class _GameValueFunction:
@@ -164,22 +173,22 @@ class _GameValueFunction:
         """Every row of ``coalitions``, in chunks of ``_per_chunk``."""
         n_c = coalitions.shape[0]
         per_chunk = self._per_chunk
-        out = np.empty(n_c, dtype=float)
-        n_chunks = 0
+        chunks = []
         for start in range(0, n_c, per_chunk):
             stop = min(start + per_chunk, n_c)
             with metrics.observe_duration("coalition.chunk_ms"):
-                out[start:stop] = _evaluate_chunk(
+                chunks.append(_evaluate_chunk(
                     self.game,
                     None if pos is None else pos[start:stop],
                     coalitions[start:stop],
                     self._guarded,
                     self._rows_per,
                     self._chunk_retries,
-                )
-            n_chunks += 1
-        sp.set_attr("n_chunks", n_chunks)
-        return out
+                ))
+        sp.set_attr("n_chunks", len(chunks))
+        if len(chunks) == 1:
+            return chunks[0]
+        return np.concatenate(chunks) if chunks else np.empty(0)
 
     def __call__(self, coalitions: np.ndarray,
                  positions: np.ndarray | None = None) -> np.ndarray:
@@ -218,7 +227,9 @@ class _GameValueFunction:
                         for p, k in zip(pos, keys)]
             else:
                 keys = [k.tobytes() for k in keys]
-            out = np.empty(n_c, dtype=float)
+            # One entry per coalition: a value, or a row of values for a
+            # game over a matrix of instances.
+            out: list = [None] * n_c
             fresh_rows: list[int] = []
             followers: dict[bytes, list[int]] = {}
             hits = 0
@@ -248,7 +259,24 @@ class _GameValueFunction:
             store.record(hits, len(fresh_rows))
             sp.set_attr("cache_hits", hits)
             sp.set_attr("cache_misses", len(fresh_rows))
-            return out
+            return np.array(out, dtype=float)
+
+
+def coalition_value(game, coalition: np.ndarray):
+    """``v(coalition)`` of one coalition: read from the game's own store
+    when an estimator's walks already put it there (v(∅) after walks
+    that start at ∅), else evaluated. A stored read opens no span and
+    calls no model; it counts as the cache hit a second evaluation
+    would have been.
+    """
+    store = getattr(game, "cache", None)
+    if store is not None:
+        key = np.packbits(np.asarray(coalition, dtype=bool)).tobytes()
+        value = store.values.get(key)
+        if value is not None:
+            store.record(1, 0)
+            return value
+    return game_value_function(game)(coalition)[0]
 
 
 def game_value_function(

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, count, islice, repeat
 from math import comb, factorial
 
 import numpy as np
@@ -58,8 +58,8 @@ from ..obs import metrics
 from ..obs.trace import enabled as _obs_enabled
 from ..persist.protocol import register_serializable
 from ..robust.errors import BudgetExceededError
-from ..robust.guard import current_scope
-from .base import as_game, walk_masks
+from ..robust.guard import budgets_in_force, current_scope
+from .base import as_game
 from .engine import game_value_function
 
 __all__ = [
@@ -399,10 +399,7 @@ def permutation_estimator(
         ``|truncation_target − v(prefix)|`` falls below the tolerance
         (TMC-Shapley); the unscanned tail receives zero marginal
         contribution but still counts. ``truncation_target`` defaults
-        to the grand-coalition value, evaluated once. Over a
-        ``deterministic`` game with no deadline or query budget in
-        force, the walks advance together, one prefix position per
-        ``value`` call; the estimate is the same bits either way.
+        to the grand-coalition value, evaluated once.
     empty_value:
         Known v(∅). When given, walks never evaluate the empty
         coalition (the datavalue convention); otherwise each walk's
@@ -418,7 +415,8 @@ def permutation_estimator(
     backend:
         Execution backend (``serial``/``thread``/``process``/``spawn``;
         default ``REPRO_BACKEND``, then serial). Non-serial backends
-        shard the walk batches across workers — the permutations
+        shard the walk batches across workers (for a game over a matrix
+        of instances too: walks are sharded, never rows) — the permutations
         themselves are all drawn in the parent first, and the per-walk
         contribution vectors are re-accumulated in global walk order,
         so the estimate is bitwise-identical to serial. Whole-walk,
@@ -426,10 +424,20 @@ def permutation_estimator(
         under ``spawn`` a runner whose game cannot pickle degrades to
         the thread pool with the same results.
 
+    Walks are evaluated in groups, one ``value`` call per group
+    (:func:`_group_sizes`): every pending walk at once over a
+    ``deterministic`` game without ``value_at`` when no deadline or
+    query budget is in force, groups of 1, 2, 4, … walks under a
+    deadline alone, and one walk per call otherwise. A game whose
+    ``value`` returns one row of values per coalition (a game over a
+    matrix of instances) gets ``values`` and ``std_err`` with the same
+    trailing axis; truncation and ``sum_counts`` need scalar values.
+
     Budget exhaustion (:class:`~repro.robust.BudgetExceededError`)
     mid-estimate keeps the completed walks as a partial estimate
-    (``diagnostics["converged"] = False``); a walk interrupted midway
-    is discarded whole. If no walk completed, the error propagates.
+    (``diagnostics["converged"] = False``); a group interrupted midway
+    is discarded whole, so the kept walks are a prefix in walk order.
+    If no walk completed, the error propagates.
     Under a sharded backend the parent's remaining budget is split per
     shard; on exhaustion the estimate keeps the global *prefix* of
     walks up to the first exhausted shard (serial-style prefix
@@ -515,15 +523,16 @@ def permutation_estimator(
             counts = np.asarray(resume_state.counts, dtype=float).copy()
         truncated_at = list(resume_state.truncated_at)
     budget_error: BudgetExceededError | None = None
-    # Per-walk convergence stream: each accumulated walk observes the
-    # largest per-player shift of the running estimate into the
+    # Convergence stream: each accumulated walk observes the largest
+    # per-player shift of the running estimate into the
     # ``games.step_delta`` histogram (and bumps ``games.walks``), so the
     # exposition endpoint and the run ledger can see *how settled* an
-    # estimate was, not just how long it took. Purely passive — the
+    # estimate was, not just how long it took. Computed once per group,
+    # from the group's stacked contributions. Purely passive — the
     # estimate itself never reads these — and skipped when observability
     # is off.
     telemetry = _obs_enabled()
-    running = np.zeros(n)
+    running = None
     if telemetry and n_walks:
         # Resumed estimates re-enter the step-delta stream at the
         # estimate they left off with, not at zero.
@@ -533,36 +542,48 @@ def permutation_estimator(
             else sums / np.maximum(counts, min_count)
         )
     if telemetry:
-        # Resolve the metric objects once, outside the per-walk path: the
-        # registry lookup takes a lock, and accumulate runs per walk.
         walks_counter = metrics.counter("games.walks")
         step_histogram = metrics.histogram("games.step_delta")
 
-    def accumulate(contrib, local_counts, scanned):
+    def accumulate(contribs, local_counts, scanned):
+        """Fold one group of walks in, in walk order."""
         nonlocal n_walks, sums, counts, running
-        if scanned is not None:
-            truncated_at.append(scanned)
-        if aggregate == "mean_walks":
-            contributions.append(contrib)
-        else:
-            sums += contrib
-            counts += local_counts
-        n_walks += 1
+        g = contribs.shape[0]
         if telemetry:
             if aggregate == "mean_walks":
-                estimate = running + (contrib - running) / n_walks
+                prior = 0.0 if running is None else running * n_walks
+                walks_so_far = np.arange(n_walks + 1, n_walks + g + 1)
+                estimates = (prior + np.cumsum(contribs, axis=0)) / \
+                    walks_so_far.reshape((g,) + (1,) * (contribs.ndim - 1))
             else:
-                estimate = sums / np.maximum(counts, min_count)
-            walks_counter.inc()
-            step_histogram.observe(float(np.max(np.abs(estimate - running))))
-            running = estimate
+                estimates = (sums + np.cumsum(contribs, axis=0)) / np.maximum(
+                    counts + np.cumsum(local_counts, axis=0), min_count
+                )
+            start = np.zeros_like(estimates[:1]) if running is None \
+                else running[None]
+            shifts = np.abs(
+                estimates - np.concatenate([start, estimates[:-1]])
+            ).reshape(g, -1).max(axis=1)
+            walks_counter.inc(g)
+            step_histogram.observe_many(shifts.tolist())
+            running = estimates[-1]
+        if scanned is not None:
+            truncated_at.extend(scanned.tolist())
+        if aggregate == "mean_walks":
+            contributions.extend(contribs)
+        else:
+            # Walk by walk: the running sums' association order is part
+            # of the ``sum_counts`` contract.
+            for contrib, local in zip(contribs, local_counts):
+                sums += contrib
+                counts += local
+        n_walks += g
 
     backend_name = resolve_backend(backend)
     # Actual walks per executed batch (a lone antithetic permutation
     # still runs both directions, whatever the diagnostics contract
     # calls a "requested" walk), so resume lands on the right batch.
     skip_batches, mid_walks = divmod(start_walks, 2 if antithetic else 1)
-    lockstep = truncating and _walks_step_together(game)
     sharded = walk_fn is None and _shard_eligible(
         game, backend_name, n_batches - skip_batches
     )
@@ -571,7 +592,7 @@ def permutation_estimator(
             accumulate, sampler, rng, game, value_fn,
             n_batches, antithetic, backend_name, n_shards, n_procs, seed,
             empty_value, position_weights, truncating, truncation_target,
-            truncation_tolerance, lockstep, start_walks=start_walks,
+            truncation_tolerance, start_walks=start_walks,
         )
         if budget_error is not None and n_walks == 0:
             raise budget_error
@@ -590,16 +611,16 @@ def permutation_estimator(
         walks = _batch_walks(drawn(), skip_batches, antithetic,
                              skip_batches, mid_walks)
         if walk_fn is not None:
-            results = ((np.asarray(walk_fn(p), dtype=float), np.ones(n), None)
-                       for p in walks)
+            groups = ((np.asarray(walk_fn(p), dtype=float)[None],
+                       np.ones((1, n)), None) for p in walks)
         else:
-            results = _value_walks(
-                value_fn, walks, empty_value, position_weights, truncating,
-                truncation_target, truncation_tolerance, lockstep,
+            groups = _walk_groups(
+                value_fn, game, walks, empty_value, position_weights,
+                truncating, truncation_target, truncation_tolerance,
             )
         try:
-            for walk in results:
-                accumulate(*walk)
+            for group in groups:
+                accumulate(*group)
         except BudgetExceededError as e:
             if n_walks == 0:
                 raise
@@ -626,29 +647,32 @@ def permutation_estimator(
         stacked = np.stack(contributions)
         phi = stacked.mean(axis=0)
         std_err = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0]) \
-            if stacked.shape[0] > 1 else np.zeros(n)
+            if stacked.shape[0] > 1 else np.zeros_like(phi)
         return PermutationEstimate(phi, std_err, diagnostics, state)
     phi = sums / np.maximum(counts, min_count)
     return PermutationEstimate(phi, None, diagnostics, state)
 
 
-def _walks_step_together(game) -> bool:
-    """Whether truncated walks over ``game`` advance in lockstep.
+def _group_sizes(game):
+    """Walks per ``value_fn`` call over ``game``: the one grouping rule.
 
-    Only over a ``deterministic`` game, whose prefix values do not
-    depend on the order in which the walks' prefixes are evaluated; and
-    only with no deadline or query budget in the ambient guard scope,
-    because budgets are charged and run out prefix by prefix in walk
-    order, which a step over all walks would reorder
-    (``_try_amortized`` keeps its per-row loop under budgets for the
-    same reason).
+    Walks share a call only over a ``deterministic`` game without
+    ``value_at``, whose values do not depend on what else is in the call
+    (a position-seeded game keys its draws to a coalition's row in the
+    call). Over such a game, with no deadline or query budget in force,
+    every pending walk joins one group. Under a deadline alone groups
+    hold 1, 2, 4, … walks, so a deadline loses at most the running
+    group. Under a query budget each group is one walk, because budgets
+    are charged and run out coalition by coalition in walk order. Every
+    other game keeps one walk per call.
     """
-    if not getattr(game, "deterministic", False):
-        return False
-    scope = current_scope()
-    return scope is None or (
-        scope.deadline_s is None and scope.query_budget is None
-    )
+    if not getattr(game, "deterministic", False) or hasattr(game, "value_at"):
+        return repeat(1)
+    if not budgets_in_force():
+        return repeat(None)
+    if current_scope().query_budget is not None:
+        return repeat(1)
+    return (1 << k for k in count())
 
 
 def _batch_walks(perms, first, antithetic, skip_batches, mid_walks):
@@ -666,44 +690,58 @@ def _batch_walks(perms, first, antithetic, skip_batches, mid_walks):
         yield from batch
 
 
-def _value_walks(
-    value_fn, walks, empty_value, position_weights,
-    truncating, truncation_target, truncation_tolerance, lockstep,
+def _walk_groups(
+    value_fn, game, walks, empty_value, position_weights,
+    truncating, truncation_target, truncation_tolerance,
 ):
-    """``(contrib, local_counts, scanned)`` of each value-fn walk, in
-    walk order: the walk body the serial loop and the shard runner
-    share (whole-walk games never reach here; their walks stay serial
-    behind ``walk_contributions``). ``scanned`` is ``None`` unless
+    """``(contribs, local_counts, scanned)`` of each group of value-fn
+    walks (:func:`_group_sizes`), in walk order: the walk body the serial
+    loop and the shard runner share (whole-walk games never reach here;
+    their walks stay serial behind ``walk_contributions``). Each array
+    has one row per walk of the group; ``scanned`` is ``None`` unless
     truncation was active.
     """
-    if truncating:
-        return _truncated_walks(
-            value_fn, walks, empty_value, position_weights,
-            truncation_target, truncation_tolerance, lockstep,
-        )
-    return (_full_walk(value_fn, p, empty_value, position_weights)
-            for p in walks)
+    walks = iter(walks)
+    for size in _group_sizes(game):
+        group = list(islice(walks, size))
+        if not group:
+            return
+        order = np.stack(group)
+        if truncating:
+            yield _truncated_group(
+                value_fn, order, empty_value, position_weights,
+                truncation_target, truncation_tolerance,
+            )
+        else:
+            yield _full_group(value_fn, order, empty_value, position_weights)
 
 
-def _full_walk(value_fn, p, empty_value, position_weights):
-    """One untruncated walk: every prefix in one ``value_fn`` call."""
-    n = p.shape[0]
-    masks = walk_masks(p, include_empty=empty_value is None)
-    values = np.asarray(value_fn(masks), dtype=float)
-    if empty_value is None:
-        diffs = values[1:] - values[:-1]
-    else:
-        diffs = np.empty(n)
-        diffs[0] = values[0] - empty_value
-        diffs[1:] = values[1:] - values[:-1]
-    contrib = np.zeros(n)
+def _full_group(value_fn, order, empty_value, position_weights):
+    """Untruncated walks: every prefix of every walk in one ``value_fn``
+    call, each walk's block laid out like :func:`walk_masks` (row ``k``
+    holds its first ``k`` players; ∅ is left out when ``empty_value`` is
+    known). Values may carry a trailing axis, one entry per instance.
+    """
+    g, n = order.shape
+    walk = np.arange(g)[:, None]
+    ranks = np.empty_like(order)
+    ranks[walk, order] = np.arange(n)
+    first = 0 if empty_value is None else 1
+    masks = ranks[:, None, :] < np.arange(first, n + 1)[:, None]
+    values = np.asarray(value_fn(masks.reshape(-1, n)), dtype=float)
+    values = values.reshape((g, n + 1 - first) + values.shape[1:])
+    if empty_value is not None:
+        known = np.full((g, 1) + values.shape[2:], float(empty_value))
+        values = np.concatenate([known, values], axis=1)
+    diffs = values[:, 1:] - values[:, :-1]
+    contrib = np.zeros((g, n) + diffs.shape[2:])
     if position_weights is None:
-        contrib[p] = diffs
-        local_counts = np.ones(n)
-    else:
-        contrib[p] = position_weights * diffs
-        local_counts = np.zeros(n)
-        local_counts[p] = position_weights
+        contrib[walk, order] = diffs
+        return contrib, np.ones((g, n)), None
+    weights = position_weights.reshape((n,) + (1,) * (diffs.ndim - 2))
+    contrib[walk, order] = weights * diffs
+    local_counts = np.zeros((g, n))
+    local_counts[walk, order] = position_weights
     return contrib, local_counts, None
 
 
@@ -720,7 +758,7 @@ class _WalkShardRunner:
 
     def __init__(self, value_fn, game, perms, skip_batches, mid_walks,
                  antithetic, empty_value, position_weights, truncating,
-                 truncation_target, truncation_tolerance, lockstep):
+                 truncation_target, truncation_tolerance):
         self.value_fn = value_fn
         self.game = game
         self.perms = perms
@@ -732,7 +770,6 @@ class _WalkShardRunner:
         self.truncating = truncating
         self.truncation_target = truncation_target
         self.truncation_tolerance = truncation_tolerance
-        self.lockstep = lockstep
 
     def __call__(self, bounds):
         lo, hi = bounds
@@ -745,25 +782,24 @@ class _WalkShardRunner:
         first = self.skip_batches + lo
         # `antithetic`, not the pair flag: n_permutations=1 with
         # antithetic=True runs 2 walks serially, and must here.
-        batches = _batch_walks(
+        walks = _batch_walks(
             self.perms[first:self.skip_batches + hi], first,
             self.antithetic, self.skip_batches, self.mid_walks,
         )
-        walks, err = [], None
+        groups, err = [], None
         try:
-            for walk in _value_walks(
-                self.value_fn, batches, self.empty_value,
+            for group in _walk_groups(
+                self.value_fn, self.game, walks, self.empty_value,
                 self.position_weights, self.truncating,
                 self.truncation_target, self.truncation_tolerance,
-                self.lockstep,
             ):
-                walks.append(walk)
+                groups.append(group)
         except BudgetExceededError as e:
             err = {
                 "message": str(e), "kind": e.kind,
                 "spent": e.spent, "budget": e.budget,
             }
-        payload = {"walks": walks, "error": err}
+        payload = {"groups": groups, "error": err}
         return _capture_worker_state(
             payload, store, baseline, self.game, stateful
         )
@@ -773,7 +809,7 @@ def _run_sharded_walks(
     accumulate, sampler, rng, game, value_fn,
     n_batches, antithetic, backend_name, n_shards, n_procs, seed,
     empty_value, position_weights, truncating, truncation_target,
-    truncation_tolerance, lockstep, start_walks=0,
+    truncation_tolerance, start_walks=0,
 ):
     """Shard the permutation walks; returns the budget error, if any.
 
@@ -781,9 +817,9 @@ def _run_sharded_walks(
     the caller's stream — the same ``sampler(rng)`` sequence the serial
     loop would consume — before anything is dispatched. Workers receive
     explicit permutations, never a generator. Reduce parity: shard
-    payloads carry per-walk ``(contrib, local_counts, scanned)`` tuples
-    and ``accumulate`` replays them in global walk order, so even the
-    running-sum (``sum_counts``) association order matches serial
+    payloads carry per-group ``(contribs, local_counts, scanned)``
+    arrays and ``accumulate`` replays them in global walk order, so even
+    the running-sum (``sum_counts``) association order matches serial
     exactly. Budget exhaustion inside a shard is marshalled as data;
     accumulation stops at the first exhausted shard (prefix semantics),
     but cache/utility state from *all* completed shards still merges —
@@ -812,7 +848,7 @@ def _run_sharded_walks(
     run_shard = _WalkShardRunner(
         value_fn, game, perms, skip_batches, mid_walks, antithetic,
         empty_value, position_weights, truncating, truncation_target,
-        truncation_tolerance, lockstep,
+        truncation_tolerance,
     )
 
     def rebuild(err):
@@ -823,8 +859,8 @@ def _run_sharded_walks(
 
     if plan.n_shards < 2:
         payload = run_shard((0, remaining))
-        for walk in payload["walks"]:
-            accumulate(*walk)
+        for group in payload["groups"]:
+            accumulate(*group)
         return None if payload["error"] is None else rebuild(payload["error"])
 
     outcomes = map_shards(
@@ -837,73 +873,64 @@ def _run_sharded_walks(
         payload = outcome.value
         _merge_worker_state(payload, store, game, stateful, state_before)
         if budget_error is None:
-            for walk in payload["walks"]:
-                accumulate(*walk)
+            for group in payload["groups"]:
+                accumulate(*group)
             if payload["error"] is not None:
                 budget_error = rebuild(payload["error"])
     return budget_error
 
 
-def _truncated_walks(
-    value_fn, perms, empty_value, position_weights, target, tolerance,
-    lockstep,
+def _truncated_group(
+    value_fn, order, empty_value, position_weights, target, tolerance,
 ):
-    """TMC walks with early stopping → ``(contrib, local_counts,
-    scanned)`` per walk, in walk order.
+    """TMC walks with early stopping, stepped together → ``(contribs,
+    local_counts, scanned)``, one row per walk.
 
-    With ``lockstep`` every walk of ``perms`` advances together: step
-    j evaluates each live walk's (j+1)-prefix in one ``value_fn`` call
-    (one ``coalition_eval`` span, one cache pass), values are consumed
-    walk by walk, and a walk leaves the live set once it truncates.
-    Otherwise the same steps run over one walk at a time, and each walk
-    is yielded before the next starts. A prefix's value does not depend
-    on what else is in the call, so a walk evaluates the same prefixes,
-    gets the same values and fills the same buffers either way.
+    Step j evaluates each live walk's (j+1)-prefix in one ``value_fn``
+    call (one ``coalition_eval`` span, one cache pass), and a walk leaves
+    the live set once it truncates. A prefix's value does not depend on
+    what else is in the call, so a walk evaluates the same prefixes, gets
+    the same values and fills the same buffers whatever its group.
 
-    Each walk accumulates into its own buffers, so a walk cut short is
+    Each walk accumulates into its own row, so a walk cut short is
     discarded whole. Each player is touched once per walk, so adding the
-    buffers up in walk order reproduces the legacy in-place
-    accumulation bitwise.
+    rows up in walk order reproduces the legacy in-place accumulation
+    bitwise.
     """
-    perms = iter(perms)
-    while group := list(islice(perms, None if lockstep else 1)):
-        order = np.stack(group)
-        k, n = order.shape
-        contrib = np.zeros((k, n))
-        local_counts = np.zeros((k, n))
-        masks = np.zeros((k, n), dtype=bool)
-        scanned = np.full(k, n)
-        if empty_value is None:
-            previous = np.asarray(value_fn(masks), dtype=float)
+    g, n = order.shape
+    contrib = np.zeros((g, n))
+    local_counts = np.zeros((g, n))
+    masks = np.zeros((g, n), dtype=bool)
+    scanned = np.full(g, n)
+    if empty_value is None:
+        previous = np.asarray(value_fn(masks), dtype=float)
+    else:
+        previous = np.full(g, float(empty_value))
+    live = np.arange(g)
+    for position in range(n):
+        players = order[live, position]
+        masks[live, players] = True
+        current = np.asarray(value_fn(masks[live]), dtype=float)
+        if position_weights is None:
+            contrib[live, players] = current - previous[live]
+            local_counts[live, players] = 1.0
         else:
-            previous = np.full(k, float(empty_value))
-        live = np.arange(k)
-        for position in range(n):
-            players = order[live, position]
-            masks[live, players] = True
-            current = np.asarray(value_fn(masks[live]), dtype=float)
-            if position_weights is None:
-                contrib[live, players] = current - previous[live]
-                local_counts[live, players] = 1.0
-            else:
-                weight = position_weights[position]
-                contrib[live, players] = weight * (current - previous[live])
-                local_counts[live, players] = weight
-            previous[live] = current
-            stop = np.abs(target - current) < tolerance
-            scanned[live[stop]] = position + 1
-            live = live[~stop]
-            if live.size == 0:
-                break
-        for w in range(k):
-            # The unscanned tail contributes zero but still counts —
-            # truncation is an estimate of ~0 marginals, not missing data.
-            tail = order[w, scanned[w]:]
-            if position_weights is None:
-                local_counts[w, tail] = 1.0
-            else:
-                local_counts[w, tail] = position_weights[scanned[w]:]
-            yield contrib[w], local_counts[w], int(scanned[w])
+            weight = position_weights[position]
+            contrib[live, players] = weight * (current - previous[live])
+            local_counts[live, players] = weight
+        previous[live] = current
+        stop = np.abs(target - current) < tolerance
+        scanned[live[stop]] = position + 1
+        live = live[~stop]
+        if live.size == 0:
+            break
+    # The unscanned tail contributes zero but still counts — truncation
+    # is an estimate of ~0 marginals, not missing data.
+    walk, position = np.nonzero(np.arange(n) >= scanned[:, None])
+    local_counts[walk, order[walk, position]] = (
+        1.0 if position_weights is None else position_weights[position]
+    )
+    return contrib, local_counts, scanned
 
 
 # -- Kernel SHAP (weighted least squares) -------------------------------------
@@ -977,11 +1004,10 @@ def solve_kernel_wls(
 ) -> np.ndarray:
     """The Kernel SHAP weighted least-squares solve, design → ``phi``.
 
-    Exactly the estimator's closed-form step, factored out so the
-    amortized batch path (one shared coalition design, many rows of
-    values) can reuse it bitwise: imposes Σφ = v_full − v_empty by
-    eliminating the last player, then solves the kernel-weighted normal
-    equations with the same 1e-12 ridge.
+    The estimator's closed-form step for one instance's values (a game
+    over a matrix of instances is solved column by column): imposes
+    Σφ = v_full − v_empty by eliminating the last player, then solves
+    the kernel-weighted normal equations with a 1e-12 ridge.
     """
     n_players = masks.shape[1]
     # Impose Σφ = v_full − v_empty by eliminating the last player:
@@ -1016,24 +1042,38 @@ def kernel_wls_estimator(
     addition to the empty and grand coalitions, always evaluated).
     Under a non-serial ``backend`` the sampled coalition rows are
     evaluated in sharded blocks (coalition choice and the WLS solve stay
-    parent-side, so the estimate is bitwise-identical to serial).
+    parent-side, so the estimate is bitwise-identical to serial). A
+    game whose values carry a trailing axis (one entry per instance)
+    gets ``phi`` and the base value with that axis, each instance
+    solved on its own.
     """
     value_fn, n_players, game = _resolve(game_or_fn, n_players)
     rng = np.random.default_rng(seed)
     if n_players == 1:
-        ends = value_fn(np.array([[False], [True]]))
-        return np.array([float(ends[1] - ends[0])]), float(ends[0])
+        ends = np.asarray(value_fn(np.array([[False], [True]])), dtype=float)
+        return (ends[1] - ends[0])[None], _scalar(ends[0])
     masks, weights = _enumerate_coalitions(n_players, n_samples, rng)
-    ends = value_fn(
+    ends = np.asarray(value_fn(
         np.vstack([np.zeros(n_players, dtype=bool), np.ones(n_players, dtype=bool)])
-    )
-    v_empty, v_full = float(ends[0]), float(ends[1])
+    ), dtype=float)
     values = _sharded_values(
         value_fn, game, masks, resolve_backend(backend), n_shards, n_procs,
         seed=seed,
     )
-    phi = solve_kernel_wls(masks, weights, values, v_empty, v_full)
-    return phi, v_empty
+    columns = values.reshape(values.shape[0], -1)
+    empty, full = ends.reshape(2, -1)
+    phi = np.stack([
+        solve_kernel_wls(masks, weights, columns[:, r], float(empty[r]),
+                         float(full[r]))
+        for r in range(columns.shape[1])
+    ], axis=-1)
+    return phi.reshape((n_players,) + values.shape[1:]), _scalar(ends[0])
+
+
+def _scalar(value):
+    """A 0-d value as a ``float``; a row of values stays an array."""
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else value
 
 
 # -- stratified cardinality sampling ------------------------------------------

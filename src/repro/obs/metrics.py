@@ -38,12 +38,12 @@ Telemetry v2 adds the ops vocabulary the future service layer needs:
 Metric names are dotted lowercase (``model.latency_ms``,
 ``exec.shard_ms``) — enforced by the same lint.
 
-Amortized-batch counters (PR 7): ``coalition.plan.built`` /
-``coalition.plan.reused`` count shared-coalition-plan construction vs
-rows served from an existing plan (hit rate =
-``reused / (built + reused)``), and ``coalition.plan.fallbacks`` counts
-batches that fell back to the per-row loop after a fused-path failure.
-The batch span carries a matching ``amortized`` attribute.
+Batch counters: ``coalition.plan.fallbacks`` counts batches whose fused
+``explain_batch`` call (one estimate over a game holding every row)
+failed and fell back to the per-row loop; the batch span carries a
+matching ``amortized`` attribute. ``games.walks`` grows by each walk
+group's size and ``games.step_delta`` takes one observation per walk,
+so a batch's walk count is its walk budget, not budget × rows.
 """
 
 from __future__ import annotations
@@ -147,6 +147,21 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.buckets[bisect_left(self.BOUNDARIES, value)] += 1
+
+    def observe_many(self, values: list[float]) -> None:
+        """:meth:`observe` each float of ``values`` in one call (a walk
+        group's step deltas), without a method call per value."""
+        if not values:
+            return
+        buckets, bounds = self.buckets, self.BOUNDARIES
+        total = self.sum
+        for value in values:
+            total += value
+            buckets[bisect_left(bounds, value)] += 1
+        self.sum = total
+        self.count += len(values)
+        self.min = min(self.min, min(values))
+        self.max = max(self.max, max(values))
 
     @property
     def mean(self) -> float:

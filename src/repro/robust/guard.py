@@ -78,6 +78,7 @@ __all__ = [
     "guard_scope",
     "push_scope",
     "current_scope",
+    "budgets_in_force",
     "remaining_s",
     "request_envelope",
     "envelope_remaining_s",
@@ -210,6 +211,14 @@ _SCOPE: contextvars.ContextVar[GuardScope | None] = contextvars.ContextVar(
 def current_scope() -> GuardScope | None:
     """The innermost open guard scope on this context, or ``None``."""
     return _SCOPE.get()
+
+
+def budgets_in_force() -> bool:
+    """Whether the ambient scope carries a deadline or a query budget."""
+    scope = _SCOPE.get()
+    return scope is not None and (
+        scope.deadline_s is not None or scope.query_budget is not None
+    )
 
 
 def remaining_s() -> float | None:

@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import setting
 from ..core.base import AttributionExplainer
-from ..core.coalition_engine import batched_predict
+from ..core.coalition_engine import (
+    CoalitionValueCache,
+    batched_predict,
+    block_predict,
+)
 from ..core.explanation import FeatureAttribution
 from ..games.base import BaseGame
-from ..games.engine import amortized_plan_values, game_value_function
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
-from ..robust.guard import check_instance
-from .sampling import permutation_shapley
+from ..games.engine import coalition_value, game_value_function
+from ..robust.guard import budgets_in_force, check_instance
+from .sampling import _per_row, permutation_shapley
 
 __all__ = [
     "EmpiricalConditionalGame",
@@ -45,7 +49,11 @@ class EmpiricalConditionalGame(BaseGame):
     the neighbor blocks of all its coalitions into one model call.
 
     Deterministic in the mask (stable-sorted neighbor selection, no
-    sampling), so the shared evaluator may cache it.
+    sampling), so the shared evaluator may cache it, in the game's own
+    ``cache`` store. ``x`` may be a matrix of instances: ``value`` then
+    returns one row of values per coalition, instance r's entry being
+    what the game over ``x[r]`` alone returns (f(x_r) stays a one-row
+    predict call, and neighbor blocks split only on block edges).
     """
 
     deterministic = True
@@ -55,24 +63,34 @@ class EmpiricalConditionalGame(BaseGame):
                  k: int = 30, max_batch_rows: int | None = None) -> None:
         self.predict_fn = predict_fn
         self.data = np.atleast_2d(np.asarray(data, dtype=float))
-        self.x = np.asarray(x, dtype=float).ravel()
-        self.n_players = self.x.shape[0]
+        x = np.asarray(x, dtype=float)
+        self.x = x if x.ndim == 2 else x.ravel()
+        self.n_players = self.x.shape[-1]
         self.scale = np.maximum(self.data.std(axis=0), 1e-12)
         self.k = min(k, self.data.shape[0])
-        self.rows_per_coalition = self.k
+        self.rows_per_coalition = self.k * (
+            self.x.shape[0] if self.x.ndim == 2 else 1
+        )
         self.max_batch_rows = max_batch_rows
+        self.cache = (CoalitionValueCache()
+                      if setting("REPRO_COALITION_CACHE") else None)
 
     def _neighbor_rows(self, mask: np.ndarray) -> np.ndarray:
-        deltas = (self.data[:, mask] - self.x[mask]) / self.scale[mask]
-        distances = np.sqrt((deltas ** 2).sum(axis=1))
-        neighbors = np.argsort(distances, kind="stable")[: self.k]
-        rows = self.data[neighbors].copy()
-        rows[:, mask] = self.x[mask]
-        return rows
+        """Each instance's k neighbor rows, ``(n_instances * k, d)``."""
+        instances = np.atleast_2d(self.x)
+        deltas = (
+            self.data[None, :, mask] - instances[:, None, mask]
+        ) / self.scale[mask]
+        distances = np.sqrt((deltas ** 2).sum(axis=2))
+        neighbors = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
+        rows = self.data[neighbors]
+        rows[:, :, mask] = instances[:, None, mask]
+        return rows.reshape(-1, self.n_players)
 
     def value(self, masks: np.ndarray) -> np.ndarray:
         masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        out = np.empty(masks.shape[0])
+        instances = np.atleast_2d(self.x)
+        out = np.empty((masks.shape[0], instances.shape[0]))
         blocks: list[np.ndarray] = []
         targets: list[int] = []
         for row, mask in enumerate(masks):
@@ -81,16 +99,18 @@ class EmpiricalConditionalGame(BaseGame):
                     self.predict_fn, self.data, self.max_batch_rows
                 )))
             elif mask.all():
-                out[row] = float(self.predict_fn(self.x[None, :])[0])
+                out[row] = [float(self.predict_fn(inst[None, :])[0])
+                            for inst in instances]
             else:
                 blocks.append(self._neighbor_rows(mask))
                 targets.append(row)
         if blocks:
-            preds = np.asarray(
-                self.predict_fn(np.concatenate(blocks)), dtype=float
-            ).ravel()
-            out[targets] = preds.reshape(len(blocks), self.k).mean(axis=1)
-        return out
+            preds = block_predict(self.predict_fn, np.concatenate(blocks),
+                                  self.k, self.max_batch_rows)
+            out[targets] = preds.reshape(
+                len(blocks), instances.shape[0], self.k
+            ).mean(axis=2)
+        return out if self.x.ndim == 2 else out[:, 0]
 
 
 def empirical_conditional_value_function(
@@ -151,95 +171,44 @@ class ConditionalShapExplainer(AttributionExplainer):
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = check_instance(x, self.data.shape[1])
-        n = x.shape[0]
-        v = empirical_conditional_value_function(
-            self.predict_fn, self.data, x, k=self.k,
-            max_batch_rows=self.max_batch_rows,
+        return self._explain_rows(x[None, :], feature_names)[0]
+
+    def _explain_rows(self, X, feature_names=None, backend=None,
+                      n_procs=None) -> list[FeatureAttribution]:
+        """Explain every row of ``X`` with one permutation estimate over
+        one :class:`EmpiricalConditionalGame` holding all rows; each
+        row's attribution is the bits of its one-row run."""
+        n = X.shape[1]
+        game = EmpiricalConditionalGame(
+            self.predict_fn, self.data, X[0] if len(X) == 1 else X,
+            k=self.k, max_batch_rows=self.max_batch_rows,
         )
-        # Prediction and base value first, so a budget exhausted during
-        # sampling still yields a reportable partial estimate.
-        prediction = float(self.predict_fn(x[None, :])[0])
-        base = float(v(np.zeros((1, n), dtype=bool))[0])
+        empty = np.zeros(n, dtype=bool)
+        # Predictions first; under a budget the base value too, so a
+        # budget exhausted during sampling still yields a reportable
+        # partial estimate. Without one, the walks leave v(∅) stored.
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in X]
+        base = coalition_value(game, empty) if budgets_in_force() else None
+        # The game, not a bare value function: its walks then share
+        # value calls (and shards, under a backend).
         phi, std_err, convergence = permutation_shapley(
-            v, n, n_permutations=self.n_permutations, seed=self.seed,
-            return_diagnostics=True,
+            game, n, n_permutations=self.n_permutations, seed=self.seed,
+            return_diagnostics=True, backend=backend, n_procs=n_procs,
         )
+        if base is None:
+            base = coalition_value(game, empty)
         names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"std_err": std_err, "k": self.k, "convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_context(self, X: np.ndarray, feature_names=None):
-        """Shared walk plan plus the row-independent ∅ value.
-
-        v(∅) is the mean prediction over the reference sample — the
-        same number for every row — so it is computed once here and
-        seeded into each row's value cache (when caching is on) instead
-        of re-averaging the whole dataset per row.
-        """
-        n = X.shape[1]
-        key = ("permutation", n, self.n_permutations, True, self.seed)
-        plan = shared_plan(
-            self,
-            key,
-            lambda: permutation_plan(
-                n, n_permutations=self.n_permutations, seed=self.seed
-            ),
-            X.shape[0],
-        )
-        empty_value = float(np.mean(
-            batched_predict(self.predict_fn, self.data, self.max_batch_rows)
-        ))
-        return plan, empty_value
-
-    def _amortized_rows(self, X, lo, hi, ctx, feature_names=None):
-        """Rows ``[lo, hi)``: every unique coalition in one fused call.
-
-        The conditional value function is deterministic in the mask, so
-        evaluating the plan's deduplicated masks once per row and
-        gathering through ``value_index`` reproduces exactly the cached
-        per-walk values the serial estimator saw.
-        """
-        plan, empty_value = ctx
-        rows = X[lo:hi]
-        n = X.shape[1]
-        names = feature_names or [f"x{i}" for i in range(n)]
-        empty_key = np.packbits(np.zeros(n, dtype=bool)).tobytes()
-        pair = self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
-        out = []
-        for r in range(rows.shape[0]):
-            x = rows[r]
-            v = empirical_conditional_value_function(
-                self.predict_fn, self.data, x, k=self.k,
-                max_batch_rows=self.max_batch_rows,
-            )
-            if v.cache is not None:
-                v.cache.values[empty_key] = empty_value
-            prediction = float(self.predict_fn(x[None, :])[0])
-            vals = amortized_plan_values(v, plan)
-            walk_values = vals[plan.value_index]
-            phi, std_err = mean_walks_reduce(walk_values, plan.walk_perms)
-            out.append(FeatureAttribution(
-                values=phi,
+        phi, std_err = _per_row(phi, len(X)), _per_row(std_err, len(X))
+        base = np.reshape(base, -1)
+        return [
+            FeatureAttribution(
+                values=phi[r],
                 feature_names=names,
-                base_value=float(vals[plan.empty_index]),
-                prediction=prediction,
+                base_value=float(base[r]),
+                prediction=predictions[r],
                 method=self.method_name,
-                meta={"std_err": std_err, "k": self.k,
+                meta={"std_err": std_err[r], "k": self.k,
                       "convergence": dict(convergence)},
-            ))
-        return out
+            )
+            for r in range(len(X))
+        ]

@@ -57,7 +57,7 @@ def aggregate_attributions(
     Any explainer with the standard ``explain(x) -> FeatureAttribution``
     interface works, so global LIME and global SHAP come from the same
     call. Explainers offering ``explain_batch`` are aggregated through
-    it, so amortized batch paths (shared coalition plans, TreeSHAP
+    it, so batch paths (one estimate for every row, TreeSHAP
     precompute) kick in — the attributions are identical either way.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))

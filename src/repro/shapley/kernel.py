@@ -28,13 +28,9 @@ from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
 from ..core.coalition_engine import CoalitionEngine
 from ..games.adapters import FeatureMaskingGame
-from ..games.estimators import (
-    kernel_wls_estimator,
-    shapley_kernel_weight,
-    solve_kernel_wls,
-)
-from ..games.plan import kernel_plan, shared_plan
+from ..games.estimators import kernel_wls_estimator, shapley_kernel_weight
 from ..robust.guard import check_instance
+from .sampling import _per_row
 
 __all__ = ["kernel_shap", "shapley_kernel_weight", "KernelShapExplainer"]
 
@@ -101,74 +97,38 @@ class KernelShapExplainer(AttributionExplainer):
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = check_instance(x, self.sampler.background.shape[1])
-        n = x.shape[0]
+        return self._explain_rows(x[None, :], feature_names, self.backend,
+                                  self.n_procs)[0]
+
+    def _explain_rows(self, X, feature_names=None, backend=None,
+                      n_procs=None) -> list[FeatureAttribution]:
+        """Explain every row of ``X`` with one coalition design.
+
+        The coalitions are drawn once and evaluated over a
+        :class:`FeatureMaskingGame` holding all rows; each row is then
+        solved on its own, which is the bits of its one-row run.
+        """
+        n = X.shape[1]
         # Hand the game object to the estimator so the exec backend can
         # read its shardability.
-        game = FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-        prediction = float(self.predict_fn(x[None, :])[0])
+        game = FeatureMaskingGame(self.predict_fn, X[0] if len(X) == 1 else X,
+                                  engine=self.sampler)
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in X]
         phi, base = kernel_shap(
             game, n,
             n_samples=self.n_samples, seed=self.seed,
-            backend=self.backend, n_procs=self.n_procs,
+            backend=backend, n_procs=n_procs,
         )
         names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"n_samples": self.n_samples},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_supported(self) -> bool:
-        # n == 1 takes the estimator's closed-form two-point shortcut;
-        # it stays per-row.
-        return self.sampler.background.shape[1] > 1
-
-    def _amortized_context(self, X: np.ndarray, feature_names=None):
-        """One shared Kernel SHAP design per (n, budget, seed)."""
-        n = X.shape[1]
-        key = ("kernel", n, self.n_samples, self.seed)
-        return shared_plan(
-            self,
-            key,
-            lambda: kernel_plan(n, n_samples=self.n_samples, seed=self.seed),
-            X.shape[0],
-        )
-
-    def _amortized_rows(self, X, lo, hi, plan, feature_names=None):
-        """Rows ``[lo, hi)``: one fused value grid, one WLS solve per row.
-
-        The coalition design (rows *and* kernel weights) is the per-row
-        estimator's own seeded draw, so feeding each row's fused values
-        into the identical :func:`solve_kernel_wls` step reproduces the
-        serial ``explain`` bitwise.
-        """
-        rows = X[lo:hi]
-        n = X.shape[1]
-        values = self.sampler.batch_value_matrix(
-            self.predict_fn, rows, plan.unique_masks
-        )
-        names = feature_names or [f"x{i}" for i in range(n)]
-        idx = plan.value_index
-        out = []
-        for r in range(rows.shape[0]):
-            prediction = float(self.predict_fn(rows[r][None, :])[0])
-            row_vals = values[r]
-            v_empty = float(row_vals[idx[0]])
-            v_full = float(row_vals[idx[1]])
-            phi = solve_kernel_wls(
-                plan.masks, plan.weights, row_vals[idx[2:]], v_empty, v_full
-            )
-            out.append(FeatureAttribution(
-                values=phi,
+        phi, base = _per_row(phi, len(X)), np.reshape(base, -1)
+        return [
+            FeatureAttribution(
+                values=phi[r],
                 feature_names=names,
-                base_value=v_empty,
-                prediction=prediction,
+                base_value=float(base[r]),
+                prediction=predictions[r],
                 method=self.method_name,
                 meta={"n_samples": self.n_samples},
-            ))
-        return out
+            )
+            for r in range(len(X))
+        ]

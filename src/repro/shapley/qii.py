@@ -20,12 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.base import AttributionExplainer
-from ..core.coalition_engine import batched_predict
+from ..core.coalition_engine import block_predict
 from ..core.explanation import FeatureAttribution
-from ..games.base import walk_masks
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
 from ..robust.guard import check_instance
-from .sampling import permutation_shapley
+from .sampling import _per_row, permutation_shapley
 
 __all__ = ["unary_qii", "set_qii", "shapley_qii", "QIIExplainer"]
 
@@ -106,41 +104,50 @@ def shapley_qii(
 
     The value function is *stochastic* — every evaluation consumes fresh
     draws from the shared generator — so the coalition engine's value
-    cache must be bypassed; only its memory-bounded batching is used.
+    cache must be bypassed, and each walk gets its own call.
     Intervention rows are still generated mask-by-mask in the historical
     order, so seeded results are identical to the pre-engine loop.
+
+    ``x`` may be a matrix of instances: each row then draws from its own
+    ``default_rng(seed)`` in that same mask order, all rows' blocks share
+    the model calls, and ``phi`` gains a trailing axis whose column r is
+    the one-row result for ``x[r]``.
 
     With ``return_diagnostics=True`` the sampler's convergence record is
     returned alongside ``phi`` (see :func:`permutation_shapley`): a
     budget exhausted mid-estimate yields the partial estimate with
     ``converged=False`` instead of raising.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.shape[0]
+    x = np.asarray(x, dtype=float)
+    instances = x if x.ndim == 2 else x.ravel()[None, :]
+    n = instances.shape[1]
     background = np.atleast_2d(background)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for __ in instances]
 
     def value_fn(masks: np.ndarray) -> np.ndarray:
         masks = np.atleast_2d(masks)
-        out = np.zeros(masks.shape[0])
+        out = np.zeros((masks.shape[0], len(instances)))
         blocks: list[np.ndarray] = []
         block_rows: list[int] = []
         for row, mask in enumerate(masks):
             absent = [j for j in range(n) if not mask[j]]
             if not absent:
-                out[row] = float(predict_fn(x[None, :])[0])
+                out[row] = [float(predict_fn(inst[None, :])[0])
+                            for inst in instances]
                 continue
-            blocks.append(
-                _resample_features(x, background, absent, n_samples, rng)
+            blocks.extend(
+                _resample_features(inst, background, absent, n_samples, rng)
+                for inst, rng in zip(instances, rngs)
             )
             block_rows.append(row)
         if blocks:
-            preds = batched_predict(
-                predict_fn, np.concatenate(blocks), max_batch_rows
+            preds = block_predict(
+                predict_fn, np.concatenate(blocks), n_samples, max_batch_rows
             )
-            means = preds.reshape(len(block_rows), n_samples).mean(axis=1)
-            out[block_rows] = means
-        return out
+            out[block_rows] = preds.reshape(
+                len(block_rows), len(instances), n_samples
+            ).mean(axis=2)
+        return out if x.ndim == 2 else out[:, 0]
 
     phi, __, diagnostics = permutation_shapley(
         value_fn, n, n_permutations=n_permutations, seed=seed,
@@ -173,100 +180,37 @@ class QIIExplainer(AttributionExplainer):
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = check_instance(x, self.background.shape[1])
-        prediction = float(self.predict_fn(x[None, :])[0])
+        return self._explain_rows(x[None, :], feature_names)[0]
+
+    def _explain_rows(self, X, feature_names=None, backend=None,
+                      n_procs=None) -> list[FeatureAttribution]:
+        """Explain every row of ``X`` with one walk schedule.
+
+        The walks are drawn once; the value function draws each row's
+        interventions from that row's own generator, so each row gets
+        the bits of its one-row run. QII's stochastic game never
+        shards, so ``backend`` and ``n_procs`` are unused.
+        """
+        n = X.shape[1]
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in X]
         phi, convergence = shapley_qii(
-            self.predict_fn, x, self.background,
+            self.predict_fn, X[0] if len(X) == 1 else X, self.background,
             n_permutations=self.n_permutations,
             n_samples=self.n_samples,
             seed=self.seed,
             max_batch_rows=self.max_batch_rows,
             return_diagnostics=True,
         )
-        names = feature_names or [f"x{i}" for i in range(x.shape[0])]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=prediction - float(phi.sum()),
-            prediction=prediction,
-            method=self.method_name,
-            meta={"convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_context(self, X: np.ndarray, feature_names=None):
-        """Share the walk schedule; interventions stay per-row.
-
-        QII's value function is *stochastic* — each row's evaluation
-        consumes draws from its own ``default_rng(seed)`` in mask order
-        — so masks are never deduplicated here. The plan contributes
-        the shared permutation draws; the rows replay the intervention
-        stream exactly and fuse all model calls into one batch.
-        """
-        n = X.shape[1]
-        key = ("permutation", n, self.n_permutations, True, self.seed)
-        plan = shared_plan(
-            self,
-            key,
-            lambda: permutation_plan(
-                n, n_permutations=self.n_permutations, seed=self.seed
-            ),
-            X.shape[0],
-        )
-        # The per-occurrence mask sequence, in the serial estimator's
-        # exact walk order (dedup would desynchronize the rng stream).
-        walk_mask_seq = [walk_masks(p) for p in plan.walk_perms]
-        return plan, walk_mask_seq
-
-    def _amortized_rows(self, X, lo, hi, ctx, feature_names=None):
-        plan, walk_mask_seq = ctx
-        rows = X[lo:hi]
-        n = X.shape[1]
         names = feature_names or [f"x{i}" for i in range(n)]
-        pair = self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
-        out = []
-        for r in range(rows.shape[0]):
-            x = rows[r]
-            prediction = float(self.predict_fn(x[None, :])[0])
-            # Fresh per-row generator, consumed in the serial mask
-            # order: every walk's masks, each mask's absent features in
-            # index order — the exact stream `shapley_qii` would draw.
-            rng = np.random.default_rng(self.seed)
-            values = np.empty((plan.n_walks, n + 1))
-            blocks: list[np.ndarray] = []
-            slots: list[tuple[int, int]] = []
-            for w, masks in enumerate(walk_mask_seq):
-                for k, mask in enumerate(masks):
-                    absent = [j for j in range(n) if not mask[j]]
-                    if not absent:
-                        values[w, k] = prediction
-                        continue
-                    blocks.append(_resample_features(
-                        x, self.background, absent, self.n_samples, rng
-                    ))
-                    slots.append((w, k))
-            if blocks:
-                preds = batched_predict(
-                    self.predict_fn, np.concatenate(blocks),
-                    self.max_batch_rows,
-                )
-                means = preds.reshape(len(slots), self.n_samples).mean(axis=1)
-                for (w, k), m in zip(slots, means):
-                    values[w, k] = m
-            phi, __ = mean_walks_reduce(values, plan.walk_perms)
-            out.append(FeatureAttribution(
-                values=phi,
+        phi = _per_row(phi, len(X))
+        return [
+            FeatureAttribution(
+                values=phi[r],
                 feature_names=names,
-                base_value=prediction - float(phi.sum()),
-                prediction=prediction,
+                base_value=predictions[r] - float(phi[r].sum()),
+                prediction=predictions[r],
                 method=self.method_name,
                 meta={"convergence": dict(convergence)},
-            ))
-        return out
+            )
+            for r in range(len(X))
+        ]

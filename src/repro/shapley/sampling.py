@@ -35,11 +35,10 @@ from ..core.base import AttributionExplainer
 from ..core.explanation import FeatureAttribution
 from ..core.coalition_engine import CoalitionEngine
 from ..games.adapters import FeatureMaskingGame
-from ..games.engine import game_value_function
+from ..games.engine import coalition_value
 from ..games.estimators import permutation_estimator
-from ..games.plan import mean_walks_reduce, permutation_plan, shared_plan
 from ..robust.errors import BudgetExceededError
-from ..robust.guard import check_instance
+from ..robust.guard import budgets_in_force, check_instance
 
 __all__ = [
     "permutation_shapley",
@@ -177,94 +176,61 @@ class SamplingShapleyExplainer(AttributionExplainer):
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = check_instance(x, self.sampler.background.shape[1])
-        n = x.shape[0]
+        return self._explain_rows(x[None, :], feature_names, self.backend,
+                                  self.n_procs)[0]
+
+    def _explain_rows(self, X, feature_names=None, backend=None,
+                      n_procs=None) -> list[FeatureAttribution]:
+        """Explain every row of ``X`` with one permutation estimate.
+
+        One :class:`FeatureMaskingGame` over the rows (over the lone
+        instance for a single row) gives each coalition a row of values,
+        so the walks are drawn, deduplicated and reduced once for the
+        whole batch, and each row's attribution is the bits of its
+        one-row run.
+        """
+        n = X.shape[1]
         # The estimator gets the *game object*: only it carries the
         # deterministic/shardable capabilities the exec backend gates on,
         # and every evaluator over it shares the game's value store.
-        game = FeatureMaskingGame(self.predict_fn, x, engine=self.sampler)
-        # Prediction and base value come first: if the query budget runs
-        # out mid-sampling, the partial estimate is still reportable.
-        prediction = float(self.predict_fn(x[None, :])[0])
-        base = float(game_value_function(game)(np.zeros((1, n), dtype=bool))[0])
+        game = FeatureMaskingGame(self.predict_fn, X[0] if len(X) == 1 else X,
+                                  engine=self.sampler)
+        empty = np.zeros(n, dtype=bool)
+        # Predictions first, one call per row; under a budget the base
+        # value too, so a partial estimate is still reportable. Without
+        # one, the walks (which start at ∅) leave v(∅) in the store.
+        predictions = [float(self.predict_fn(x[None, :])[0]) for x in X]
+        base = coalition_value(game, empty) if budgets_in_force() else None
         phi, std_err, convergence = permutation_shapley(
             game, n,
             n_permutations=self.n_permutations,
             antithetic=self.antithetic,
             seed=self.seed,
             return_diagnostics=True,
-            backend=self.backend,
-            n_procs=self.n_procs,
+            backend=backend,
+            n_procs=n_procs,
         )
+        if base is None:
+            base = coalition_value(game, empty)
         names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=prediction,
-            method=self.method_name,
-            meta={"std_err": std_err, "n_permutations": self.n_permutations,
-                  "convergence": convergence},
-        )
-
-    # -- amortized batch path (shared coalition plan) ----------------------
-
-    def _amortized_context(self, X: np.ndarray, feature_names=None):
-        """One shared permutation plan per (n, budget, seed) design."""
-        n = X.shape[1]
-        key = ("permutation", n, self.n_permutations, self.antithetic,
-               self.seed)
-        return shared_plan(
-            self,
-            key,
-            lambda: permutation_plan(
-                n,
-                n_permutations=self.n_permutations,
-                antithetic=self.antithetic,
-                seed=self.seed,
-            ),
-            X.shape[0],
-        )
-
-    def _amortized_rows(self, X, lo, hi, plan, feature_names=None):
-        """Rows ``[lo, hi)`` against the shared plan, fused per shard.
-
-        Every distinct coalition the walk schedule visits is evaluated
-        once per row through the engine's fused ``rows × coalitions``
-        grid; gathering through ``plan.value_index`` then reproduces the
-        per-walk value sequences the serial estimator saw — including
-        its cache-dedup semantics — so the reduction is bitwise the
-        serial ``explain``.
-        """
-        rows = X[lo:hi]
-        n = X.shape[1]
-        values = self.sampler.batch_value_matrix(
-            self.predict_fn, rows, plan.unique_masks
-        )
-        names = feature_names or [f"x{i}" for i in range(n)]
-        # Same requested-walk arithmetic as the estimator's diagnostics
-        # (completed is the actual walk count, which exceeds requested
-        # in the lone-antithetic-permutation edge case there too).
-        pair = self.antithetic and self.n_permutations > 1
-        n_batches = self.n_permutations // 2 if pair else self.n_permutations
-        convergence = {
-            "converged": True,
-            "n_walks_completed": plan.n_walks,
-            "n_walks_requested": n_batches * (2 if pair else 1),
-            "budget_error": None,
-        }
-        out = []
-        for r in range(rows.shape[0]):
-            prediction = float(self.predict_fn(rows[r][None, :])[0])
-            walk_values = values[r][plan.value_index]
-            phi, std_err = mean_walks_reduce(walk_values, plan.walk_perms)
-            out.append(FeatureAttribution(
-                values=phi,
+        phi, std_err = _per_row(phi, len(X)), _per_row(std_err, len(X))
+        base = np.reshape(base, -1)
+        return [
+            FeatureAttribution(
+                values=phi[r],
                 feature_names=names,
-                base_value=float(values[r][plan.empty_index]),
-                prediction=prediction,
+                base_value=float(base[r]),
+                prediction=predictions[r],
                 method=self.method_name,
-                meta={"std_err": std_err,
+                meta={"std_err": std_err[r],
                       "n_permutations": self.n_permutations,
                       "convergence": dict(convergence)},
-            ))
-        return out
+            )
+            for r in range(len(X))
+        ]
+
+
+def _per_row(values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``(n_rows, n_players)``: one contiguous row per instance, from an
+    estimate whose trailing axis (absent for one instance) holds them."""
+    return np.ascontiguousarray(values.reshape(values.shape[0], n_rows).T)

@@ -83,7 +83,7 @@ def stability_report(
     (both LIME variants do). Returns VSI, CSI and the mean surrogate
     fidelity when the explainer reports one.
     """
-    # Deliberately varied seeds — a shared plan would defeat the point.
+    # Deliberately varied seeds — one shared estimate would defeat the point.
     runs = [explainer.explain(x, seed=seed + r) for r in range(n_runs)]  # batch: allow
     fidelities = [
         run.meta["fidelity_r2"] for run in runs if "fidelity_r2" in run.meta

@@ -1,21 +1,22 @@
-"""Amortized batch explanation (PR 7): parity, telemetry, fallbacks.
+"""Batch explanation: parity, telemetry, fallbacks.
 
-The contract under test: ``explain_batch`` drawing one shared
-:class:`~repro.games.plan.CoalitionPlan` per batch (and, for TreeSHAP,
-one cached :class:`~repro.shapley.tree.TreePrecompute` per model) is a
-pure performance change —
+The contract under test: ``explain_batch`` running one estimate over a
+game that holds every row (and, for TreeSHAP, one cached
+:class:`~repro.shapley.tree.TreePrecompute` per model) is a pure
+performance change —
 
 * sampling / kernel / QII / conditional SHAP batch attributions are
   **bitwise identical** to the serial per-row ``explain`` loop at equal
-  seeds, on every execution backend;
+  seeds, on every execution backend, also when rows × background
+  exceed ``max_batch_rows`` (no predict call ever does);
 * the fused TreeSHAP kernel is bitwise stable across backends and batch
   splits, and agrees with the scalar recursion to float accumulation
   order;
 * guard budgets keep their per-row semantics by skipping the fused
-  path, and a mid-fuse failure degrades to the loop while counting
+  call, and a failure inside it degrades to the loop while counting
   ``coalition.plan.fallbacks``;
-* plan reuse is observable: ``coalition.plan.built`` / ``.reused``
-  counters and the batch span's ``amortized`` attribute.
+* the batch draws its walks once: ``games.walks`` grows by the walk
+  budget, not budget × rows, and the batch span carries ``amortized``.
 """
 
 from __future__ import annotations
@@ -96,24 +97,51 @@ def test_amortized_batch_bitwise_parity(family, backend, loan_data,
     assert _batch_span().attrs["amortized"] is True
 
 
-def test_plan_counters_and_reuse(loan_data, loan_logistic):
-    """One plan per (explainer, config); later batches ride the store."""
+def test_batch_draws_its_walks_once(loan_data, loan_logistic):
+    """One estimate per batch: the walk budget, not budget × rows."""
     explainer = make_explainer("sampling", loan_logistic, loan_data)
     X = loan_data.X[:N_ROWS]
-    built = obs.counter("coalition.plan.built")
-    reused = obs.counter("coalition.plan.reused")
+    walks = obs.counter("games.walks")
 
-    b0, r0 = built.value, reused.value
+    w0 = walks.value
     first = explainer.explain_batch(X)
-    assert built.value - b0 == 1
-    assert reused.value - r0 == N_ROWS - 1
+    assert walks.value - w0 == explainer.n_permutations
+    assert first[0].meta["convergence"]["n_walks_completed"] == \
+        explainer.n_permutations
 
-    b1, r1 = built.value, reused.value
     second = explainer.explain_batch(X)
-    assert built.value - b1 == 0
-    assert reused.value - r1 == N_ROWS
+    assert walks.value - w0 == 2 * explainer.n_permutations
     for a, b in zip(first, second):
         assert np.array_equal(a.values, b.values)
+
+
+def test_one_explain_is_one_value_call(loan_data, loan_logistic):
+    """With no budget, every walk of an explanation shares one
+    ``coalition_eval`` span; the walk telemetry still counts each walk."""
+    explainer = make_explainer("sampling", loan_logistic, loan_data)
+    walks = obs.counter("games.walks").value
+    deltas = obs.histogram("games.step_delta").count
+    tracer = obs.get_tracer()
+    mark = tracer.mark()
+    att = explainer.explain(loan_data.X[0])
+    spans = [s for s in tracer.spans_since(mark) if s.name == "coalition_eval"]
+    n_walks = att.meta["convergence"]["n_walks_completed"]
+    assert n_walks == explainer.n_permutations
+    assert len(spans) == 1
+    assert obs.counter("games.walks").value - walks == n_walks
+    assert obs.histogram("games.step_delta").count - deltas == n_walks
+
+
+def test_query_budget_keeps_one_walk_per_call(loan_data, loan_logistic):
+    """Under a query budget walks go one per call and the budget runs
+    out where it did when every walk had its own call (frozen)."""
+    explainer = SamplingShapleyExplainer(
+        loan_logistic, loan_data.X, n_permutations=20, max_background=20,
+        seed=5, guard=GuardConfig(query_budget=700),
+    )
+    convergence = explainer.explain(loan_data.X[0]).meta["convergence"]
+    assert convergence["converged"] is False
+    assert convergence["n_walks_completed"] == 5
 
 
 def test_guard_budgets_keep_per_row_loop(loan_data, loan_logistic):
@@ -134,8 +162,10 @@ def test_fused_failure_falls_back_and_counts(loan_data, loan_logistic):
     """A mid-fuse exception degrades to the loop + fallback counter."""
 
     class Exploding(SamplingShapleyExplainer):
-        def _amortized_rows(self, X, lo, hi, ctx, **kwargs):
-            raise RuntimeError("fused path down")
+        def _explain_rows(self, X, *args, **kwargs):
+            if len(X) > 1:
+                raise RuntimeError("fused path down")
+            return super()._explain_rows(X, *args, **kwargs)
 
     explainer = Exploding(
         loan_logistic, loan_data.X, n_permutations=8, max_background=20,
@@ -186,11 +216,62 @@ def test_feature_names_ride_the_amortized_path(loan_data, loan_logistic):
     """``feature_names`` is the one kwarg the fused path serves."""
     explainer = make_explainer("sampling", loan_logistic, loan_data)
     names = [f"f{i}" for i in range(loan_data.X.shape[1])]
-    built = obs.counter("coalition.plan.built").value
+    walks = obs.counter("games.walks").value
     batch = explainer.explain_batch(loan_data.X[:2], feature_names=names)
-    assert obs.counter("coalition.plan.built").value == built + 1
+    assert obs.counter("games.walks").value == \
+        walks + explainer.n_permutations
     assert _batch_span().attrs["amortized"] is True
     assert all(att.feature_names == names for att in batch)
+
+
+def _capped(family, model, data, max_batch_rows, sizes):
+    """An explainer whose predict function records each call's rows."""
+    def predict(rows):
+        sizes.append(len(rows))
+        return model.predict_proba(rows)[:, 1]
+
+    if family == "sampling":
+        return SamplingShapleyExplainer(
+            predict, data.X, n_permutations=6, max_background=20, seed=5,
+            max_batch_rows=max_batch_rows,
+        )
+    if family == "kernel":
+        return KernelShapExplainer(
+            predict, data.X, n_samples=30, max_background=20, seed=5,
+            max_batch_rows=max_batch_rows,
+        )
+    if family == "qii":
+        return QIIExplainer(
+            predict, data.X[:20], n_permutations=4, n_samples=10, seed=5,
+            max_batch_rows=max_batch_rows,
+        )
+    return ConditionalShapExplainer(
+        predict, data.X[:60], k=10, n_permutations=4, seed=5,
+        max_batch_rows=max_batch_rows,
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_bitwise_when_rows_times_background_exceed_the_bound(
+        family, loan_data, loan_logistic):
+    """Five rows × 20 background (or 10 samples or neighbours) rows per
+    coalition exceed a 45-row bound: each coalition's rows are split
+    between calls, no call exceeds the bound, and every row still has
+    the bits of its one-row explanation."""
+    limit = 45
+    X = loan_data.X[:N_ROWS]
+    sizes: list[int] = []
+    reference = [_capped(family, loan_logistic, loan_data, limit, sizes
+                         ).explain(x) for x in X]
+    sizes.clear()
+    batch = _capped(family, loan_logistic, loan_data, limit, sizes
+                    ).explain_batch(X)
+    assert _batch_span().attrs["amortized"] is True
+    assert max(sizes) <= limit
+    for ref, att in zip(reference, batch):
+        assert np.array_equal(ref.values, att.values)
+        assert ref.base_value == att.base_value
+        assert ref.prediction == att.prediction
 
 
 def test_batch_value_matrix_matches_value_function(loan_data, loan_logistic):

@@ -529,6 +529,108 @@ class TestGracefulDegradationAcrossGames:
         assert att.meta["mean_truncation_position"] == 27.2
         assert att.meta["n_utility_evaluations"] == 146
 
+    @pytest.mark.parametrize("tolerance", [0.01, None])
+    def test_flaky_utility_without_a_budget_completes(
+        self, tiny_utility_pair, monkeypatch, tolerance
+    ):
+        # Every 7th call fails: a chunk of 7 or more prefixes could never
+        # pass whole, so the evaluator bisects it once retries run out.
+        monkeypatch.setenv("REPRO_BACKOFF", "0")
+        utility = tiny_utility_pair()
+        state = {"calls": 0}
+
+        class FlakyUtility:
+            n_points = utility.n_points
+            empty_score = utility.empty_score
+
+            def full_score(self):
+                return utility.full_score()
+
+            def __call__(self, indices):
+                state["calls"] += 1
+                if state["calls"] % 7 == 3:
+                    raise TransientModelError("utility service hiccup")
+                return utility(indices)
+
+        kwargs = dict(
+            n_permutations=10, antithetic=False, seed=0,
+            truncation_tolerance=tolerance,
+            truncation_target=utility.full_score(),
+            empty_value=utility.empty_score, aggregate="sum_counts",
+        )
+        clean = permutation_estimator(DataValueGame(tiny_utility_pair()),
+                                      **kwargs)
+        retried = counter("robust.retries").value
+        flaky = permutation_estimator(DataValueGame(FlakyUtility()), **kwargs)
+        assert counter("robust.retries").value > retried
+        assert flaky.diagnostics["converged"] is True
+        assert np.array_equal(flaky.values, clean.values)
+        assert flaky.state.truncated_at == clean.state.truncated_at
+
+    def test_an_unbinding_budget_keeps_position_seeded_values(self):
+        # A position-seeded game keys its draws to a coalition's row in
+        # the call, so its walks never share a call, budget or not.
+        from tests.test_exec import make_game
+
+        def run():
+            return permutation_estimator(
+                make_game("topological", None, None), n_permutations=8,
+                antithetic=False, seed=1, truncation_tolerance=1e-9,
+                aggregate="sum_counts",
+            ).values
+
+        free = run()
+        with guard_scope(GuardConfig(query_budget=10**9)):
+            budgeted = run()
+        assert np.array_equal(free, budgeted)
+        # Frozen from the budgeted run, one walk at a time, before walks
+        # were grouped by the estimator.
+        assert free.tolist() == [
+            8.945879578307213, 0.023636427959221606, -5.034670266590528
+        ]
+
+    def test_deadline_groups_double_and_keep_a_walk_prefix(self,
+                                                           monkeypatch):
+        # A clock that advances one second per game evaluation: the
+        # deadline of 3.5 s lets four groups run (1 + 2 + 4 + 8 walks)
+        # and stops the fifth before it evaluates.
+        from repro.games import BaseGame
+        from repro.robust.guard import GuardScope
+
+        clock = {"t": 0.0}
+        monkeypatch.setattr(GuardScope, "elapsed_s",
+                            lambda self: clock["t"])
+        weights = np.arange(1.0, 9.0)
+
+        class ClockedGame(BaseGame):
+            n_players = 8
+            deterministic = True
+
+            def value(self, masks):
+                clock["t"] += 1.0
+                s = np.asarray(masks, dtype=float) @ weights
+                return s + 0.1 * s ** 2
+
+        kwargs = dict(antithetic=False, seed=2, empty_value=0.0)
+        tracer = obs.get_tracer()
+        mark = tracer.mark()
+        with guard_scope(GuardConfig(deadline_s=3.5)):
+            partial = permutation_estimator(ClockedGame(), n_permutations=40,
+                                            **kwargs)
+        widths = [s.attrs["n_coalitions"] for s in tracer.spans_since(mark)
+                  if s.name == "coalition_eval"]
+        assert widths[:4] == [8, 16, 32, 64]
+        assert partial.diagnostics["converged"] is False
+        assert partial.diagnostics["n_walks_completed"] == 15
+        # The kept walks are the first 15: a 5-walk run resumed to 15
+        # walks gives the same estimate.
+        head = permutation_estimator(ClockedGame(), n_permutations=5,
+                                     **kwargs)
+        resumed = permutation_estimator(ClockedGame(), n_permutations=15,
+                                        resume_state=head.state, **kwargs)
+        assert np.array_equal(partial.values, resumed.values)
+        assert np.array_equal(partial.std_err, resumed.std_err)
+
     def test_walks_over_a_stochastic_game_go_one_at_a_time(self,
                                                           wide_utility):
         # A game that is not deterministic may draw afresh on every call,

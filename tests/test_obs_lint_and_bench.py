@@ -116,6 +116,15 @@ SHAPLEY_CATCH = {
                 phi[w] += v(w)
             return phi
     """,
+    # Only the estimator module of the games package may walk.
+    "src/repro/games/second_scheduler.py": """
+        def reduce_walks(values, n, rng):
+            phi = np.zeros(n)
+            perm = rng.permutation(n)  # <- bespoke-shapley
+            for pos, player in enumerate(perm):
+                phi[player] += values[pos]
+            return phi
+    """,
 }
 
 SHAPLEY_ALLOW = {

@@ -36,6 +36,21 @@ def test_histogram_summary_stats():
     assert snap["count"] == h.count
 
 
+def test_histogram_observe_many_equals_one_at_a_time():
+    from repro.obs.metrics import Histogram
+
+    values = np.random.default_rng(2).lognormal(0.0, 3.0, 200).tolist()
+    one, many = Histogram("a"), Histogram("b")
+    for v in values[:3]:
+        many.observe(v)
+    for v in values:
+        one.observe(v)
+    many.observe_many(values[3:])
+    many.observe_many([])
+    assert (one.count, one.sum, one.min, one.max, one.buckets) == \
+        (many.count, many.sum, many.min, many.max, many.buckets)
+
+
 def test_metric_name_type_conflict_raises():
     obs.counter("test.conflict")
     with pytest.raises(TypeError):
