@@ -175,7 +175,8 @@ _ROWS = (
             doc="pressure above which only the cheapest tier is served"),
     Setting("REPRO_SERVE_SOCKET_TIMEOUT_S", float, 30.0,
             field="socket_timeout_s",
-            doc="per-connection socket timeout in seconds"),
+            doc="per-connection socket timeout in seconds; also ends an "
+                "idle kept-alive connection"),
 )
 
 SETTINGS: dict[str, Setting] = {row.name: row for row in _ROWS}

@@ -44,6 +44,13 @@ failed and fell back to the per-row loop; the batch span carries a
 matching ``amortized`` attribute. ``games.walks`` grows by each walk
 group's size and ``games.step_delta`` takes one observation per walk,
 so a batch's walk count is its walk budget, not budget × rows.
+
+HTTP counters: ``serve.http.connections`` counts the connections the
+serve front accepted, and the ``serve.http.open`` gauge holds how many
+are open (sampled on every open and close); many requests over few
+connections means kept-alive connections were reused.
+``serve.http.errors`` counts failed requests, failed writes and
+connections the client reset between requests.
 """
 
 from __future__ import annotations

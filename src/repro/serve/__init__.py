@@ -21,7 +21,8 @@ The load-bearing pieces:
 ``protocol``    request keys, response payloads, the error envelope
                 (no stack trace ever crosses the wire)
 ``server``      :class:`ExplainServer` — the composition, in-process
-                and over HTTP
+                and over HTTP/1.1: one thread per connection, kept
+                alive across requests, each response in one write
 
 Quickstart::
 

@@ -5,8 +5,9 @@ endpoint registry and exposes them two ways: in-process via
 :meth:`ExplainServer.handle_explain` (what the tests and the benchmark
 load generator call — the full admission/coalescing/breaker path with
 no sockets), and over HTTP via :meth:`ExplainServer.start` (a
-``ThreadingHTTPServer`` daemon thread, one connection per thread, every
-socket under ``REPRO_SERVE_SOCKET_TIMEOUT_S``).
+``ThreadingHTTPServer`` daemon thread, one thread per connection, kept
+alive across requests, every socket under
+``REPRO_SERVE_SOCKET_TIMEOUT_S``).
 
 The life of a request::
 
@@ -30,6 +31,13 @@ hung requests under overload" means operationally.
 
 Routes: ``POST /explain``, ``GET /healthz``, ``GET /serve/stats``,
 ``POST /models/<name>/version``.
+
+Connections speak HTTP/1.1 and stay open between requests; each
+response leaves in one write. A connection closes when the client asks
+(``Connection: close``, or HTTP/1.0), when the request parser refuses a
+request, when a request's body was not read in full (the stream would
+no longer start at a request line), or when it idles past the socket
+timeout. :meth:`ExplainServer.stop` ends the connections it kept.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,6 +72,7 @@ from .protocol import attribution_payload, error_envelope, request_key
 __all__ = ["ExplainServer"]
 
 MAX_BODY_BYTES = 1 << 20  # a one-instance explanation request is small
+LINGER_S = 1.0  # longest wait for a client's close after the server's
 
 
 class ExplainServer:
@@ -403,6 +413,10 @@ class ExplainServer:
                 "waiters": count("serve.coalesce.waiters"),
             },
             "pressure": self.ladder.pressure(self.admission.queue_fraction()),
+            "http": {
+                "connections": count("serve.http.connections"),
+                "open": count("serve.http.open"),
+            },
         }
 
     def healthz(self) -> dict:
@@ -427,11 +441,9 @@ class ExplainServer:
         """Serve on a daemon thread; returns the bound ``(host, port)``."""
         with self._http_lock:
             if self._http is None:
-                handler = _make_handler(self)
-                self._http = ThreadingHTTPServer(
-                    (self.host, self.port), handler
+                self._http = _HTTPServer(
+                    (self.host, self.port), _make_handler(self)
                 )
-                self._http.daemon_threads = True
                 threading.Thread(
                     target=self._http.serve_forever,
                     name="repro-serve",
@@ -441,11 +453,17 @@ class ExplainServer:
             return str(address[0]), int(address[1])
 
     def stop(self) -> None:
-        """Shut the HTTP front down (idempotent; in-process use keeps working)."""
+        """Shut the HTTP front down (idempotent; in-process use keeps working).
+
+        Stops accepting, ends every connection it kept (an idle one at
+        once; a request in flight still gets its response), then closes
+        the listener.
+        """
         with self._http_lock:
             http, self._http = self._http, None
         if http is not None:
             http.shutdown()
+            http.end_connections()
             http.server_close()
 
     def address(self) -> tuple[str, int] | None:
@@ -456,31 +474,129 @@ class ExplainServer:
             return str(address[0]), int(address[1])
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that knows which connections are open.
+
+    The accept loop registers each connection before its handler thread
+    starts, so none accepted before ``shutdown()`` returns escapes
+    :meth:`end_connections`; the handler's end unregisters it.
+    """
+
+    def __init__(self, address, handler) -> None:
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        metrics.counter("serve.http.connections").inc()
+        with self._connections_lock:
+            self._connections.add(request)
+            metrics.gauge("serve.http.open").set(len(self._connections))
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """End a connection without resetting it under its last response.
+
+        Closing a socket that still holds unread bytes (a refused
+        request's body) resets the connection, and the reset can beat
+        the client to the response or fail its send of the rest. So the
+        write side is shut first, and what the client still sends is
+        read and dropped until it closes, for at most ``LINGER_S``.
+        """
+        try:
+            request.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + LINGER_S
+            while (left := deadline - time.monotonic()) > 0:
+                request.settimeout(left)
+                if not request.recv(1 << 16):
+                    break
+        except OSError:
+            pass  # timed out, or the client has already gone
+        with self._connections_lock:
+            self._connections.discard(request)
+            metrics.gauge("serve.http.open").set(len(self._connections))
+        self.close_request(request)
+
+    def end_connections(self) -> None:
+        """Shut the read side of every open connection.
+
+        A handler waiting for its next request line reads end of stream
+        at once and exits; one in flight still writes its response. A
+        socket leaves the set, under the lock, before it is closed.
+        """
+        with self._connections_lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client has already gone
+
+
 def _make_handler(server: ExplainServer):
     """A handler class bound to one :class:`ExplainServer` instance."""
 
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-serve"
+        # Keep-alive: the stdlib's loop serves requests on a connection
+        # until ``close_connection`` is set.
+        protocol_version = "HTTP/1.1"
         # StreamRequestHandler.setup() applies this to the connection,
-        # so no read or write on the socket can block forever.
+        # so no read or write on the socket can block forever, and an
+        # idle kept-alive connection ends when it fires.
         timeout = server.config.socket_timeout_s
+
+        def handle(self) -> None:
+            try:
+                super().handle()
+            except ConnectionError:
+                # A client that reset its kept-alive connection between
+                # requests; socketserver would print a traceback.
+                metrics.counter("serve.http.errors").inc()
 
         def _send_json(self, status: int, body: dict,
                        headers: dict | None = None) -> None:
-            payload = json.dumps(body, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
+            """Status line, headers and body in one write.
 
-        def _send_error(self, exc: BaseException) -> None:
-            status, body, headers = error_envelope(exc)
-            self._send_json(status, body, headers)
+            A head written apart from its body would leave the body
+            behind Nagle's algorithm until the client's delayed ACK of
+            the head (~40 ms a response on a kept-alive connection).
+            """
+            payload = json.dumps(body, sort_keys=True).encode("utf-8")
+            lines = [
+                f"{self.protocol_version} {status} "
+                f"{self.responses.get(status, ('',))[0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(payload)}",
+            ]
+            lines.extend(f"{k}: {v}" for k, v in (headers or {}).items())
+            if self.close_connection:
+                lines.append("Connection: close")
+            head = "\r\n".join(lines) + "\r\n\r\n"
+            self.wfile.write(head.encode("latin-1") + payload)
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            """The stdlib's own refusals (bad request line or headers,
+            unsupported method or version) as the protocol's envelope."""
+            metrics.counter("serve.http.errors").inc()
+            self.close_connection = True
+            code = int(code)
+            self._send_json(code, {"error": {
+                "type": "InputValidationError",
+                "status": code,
+                "message": message or self.responses.get(code, ("",))[0],
+            }})
 
         def _read_body(self) -> dict:
+            # Until the whole body is read the stream does not start at
+            # a request line, so any refusal before then closes.
+            close, self.close_connection = self.close_connection, True
+            if "Transfer-Encoding" in self.headers:
+                raise InputValidationError(
+                    "request body must come with a Content-Length, "
+                    "not a Transfer-Encoding"
+                )
             try:
                 length = int(self.headers.get("Content-Length", "0"))
             except ValueError:
@@ -494,6 +610,9 @@ def _make_handler(server: ExplainServer):
                     f"request body exceeds {MAX_BODY_BYTES} bytes"
                 )
             raw = self.rfile.read(length)
+            if len(raw) < length:
+                raise InputValidationError("request body ended early")
+            self.close_connection = close
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -501,51 +620,46 @@ def _make_handler(server: ExplainServer):
                     "request body is not valid JSON"
                 ) from None
 
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
+        def _respond(self, route) -> None:
             try:
-                route = self.path.rstrip("/")
-                if route == "/explain":
-                    body = self._read_body()
-                    status, response, headers = server.handle_explain(body)
-                    self._send_json(status, response, headers)
-                elif route.startswith("/models/") and route.endswith(
-                    "/version"
-                ):
-                    name = route[len("/models/"):-len("/version")]
-                    body = self._read_body()
-                    version = body.get("version")
-                    if not isinstance(version, str) or not version:
-                        raise InputValidationError(
-                            "body must carry a non-empty 'version' string"
-                        )
-                    new_version = server.set_model_version(name, version)
-                    self._send_json(
-                        200, {"model": name, "version": new_version}
-                    )
-                else:
-                    raise UnknownEndpointError(f"no such route {route!r}")
+                reply = route(self.path.rstrip("/"))
             except Exception as exc:  # every failure is an envelope
                 metrics.counter("serve.http.errors").inc()
-                try:
-                    self._send_error(exc)
-                except Exception:
-                    metrics.counter("serve.http.errors").inc()
+                reply = error_envelope(exc)
+            try:
+                self._send_json(*reply)
+            except Exception:
+                # Nothing more can be sent in step on this connection.
+                metrics.counter("serve.http.errors").inc()
+                self.close_connection = True
+
+        def _post(self, route: str) -> tuple[int, dict, dict]:
+            if route == "/explain":
+                return server.handle_explain(self._read_body())
+            if route.startswith("/models/") and route.endswith("/version"):
+                name = route[len("/models/"):-len("/version")]
+                version = self._read_body().get("version")
+                if not isinstance(version, str) or not version:
+                    raise InputValidationError(
+                        "body must carry a non-empty 'version' string"
+                    )
+                new_version = server.set_model_version(name, version)
+                return 200, {"model": name, "version": new_version}, {}
+            self.close_connection = True  # its body stays unread
+            raise UnknownEndpointError(f"no such route {route!r}")
+
+        def _get(self, route: str) -> tuple[int, dict, dict]:
+            if route == "/healthz":
+                return 200, server.healthz(), {}
+            if route == "/serve/stats":
+                return 200, server.stats(), {}
+            raise UnknownEndpointError(f"no such route {route!r}")
+
+        def do_POST(self) -> None:  # noqa: N802 - http.server API
+            self._respond(self._post)
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
-            try:
-                route = self.path.rstrip("/")
-                if route == "/healthz":
-                    self._send_json(200, server.healthz())
-                elif route == "/serve/stats":
-                    self._send_json(200, server.stats())
-                else:
-                    raise UnknownEndpointError(f"no such route {route!r}")
-            except Exception as exc:
-                metrics.counter("serve.http.errors").inc()
-                try:
-                    self._send_error(exc)
-                except Exception:
-                    metrics.counter("serve.http.errors").inc()
+            self._respond(self._get)
 
         def log_message(self, fmt, *args) -> None:  # noqa: D102
             pass  # request logging lives in the run ledger, not stderr

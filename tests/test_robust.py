@@ -16,6 +16,8 @@ import pytest
 from repro.core.base import AttributionExplainer, as_predict_fn
 from repro.core.coalition_engine import CoalitionEngine
 from repro.core.dataset import TabularDataset
+from repro.datasets import make_loan_dataset
+from repro.models import LogisticRegression
 from repro.obs import metrics
 from repro.robust import (
     BatchRowError,
@@ -382,6 +384,47 @@ def test_guard_recovers_exact_values_from_faulty_model(background):
     a, b = clean.explain(background[0]), faulty.explain(background[0])
     # Retries re-ask until the clean answer comes back: zero drift.
     assert np.allclose(a.values, b.values)
+
+
+class _EveryKthCallFails:
+    """A model whose ``predict_proba`` fails transiently every k-th call."""
+
+    def __init__(self, model, k: int):
+        self.model, self.k, self.calls = model, k, 0
+
+    def predict_proba(self, X):
+        self.calls += 1
+        if self.calls % self.k == 0:
+            raise TransientModelError(f"call {self.calls} failed")
+        return self.model.predict_proba(X)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_sampling_values_survive_a_model_failing_every_kth_call(
+    k, monkeypatch
+):
+    # The guard's retries re-ask the failed call, so neither the single
+    # row path nor the batch path drifts from the fault-free values.
+    monkeypatch.setenv("REPRO_BACKOFF", "0")
+    data = make_loan_dataset(600, seed=7)
+    model = LogisticRegression(alpha=1.0).fit(data.X, data.y)
+    background, rows = data.X[:20], data.X[20:25]
+
+    def explainer(m):
+        return SamplingShapleyExplainer(m, background, n_permutations=10,
+                                        seed=0)
+
+    clean, flaky = explainer(model), explainer(_EveryKthCallFails(model, k))
+    retries = metrics.counter("robust.retries").value
+    for x in rows:
+        assert np.array_equal(flaky.explain(x).values,
+                              clean.explain(x).values)
+    assert metrics.counter("robust.retries").value > retries
+    retries = metrics.counter("robust.retries").value
+    for got, want in zip(flaky.explain_batch(rows),
+                         clean.explain_batch(rows)):
+        assert np.array_equal(got.values, want.values)
+    assert metrics.counter("robust.retries").value > retries
 
 
 # ------------------------------------------------------ batch degradation

@@ -15,13 +15,19 @@ The load-bearing invariants:
   without touching the model), and a successful half-open probe closes
   it again;
 * over HTTP every failure is a typed JSON envelope — never a stack
-  trace, never a hung socket.
+  trace, never a hung socket;
+* a connection stays open across requests, closes whenever a request's
+  body was left unread, and ``stop()`` ends the ones it kept.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -48,6 +54,7 @@ from repro.serve import (
     request_key,
 )
 from repro.serve.breaker import CLOSED, OPEN
+from repro.serve.server import MAX_BODY_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -480,6 +487,218 @@ def test_http_failures_are_typed_envelopes_not_tracebacks():
         status, body, __ = _post(f"{base}/no/such/route", {})
         assert (status, body["error"]["type"]) == (
             404, "UnknownEndpointError"
+        )
+    finally:
+        server.stop()
+
+
+def _wait_until(predicate, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _exchange(conn, method: str, path: str, body: bytes | None = None,
+              headers: dict | None = None):
+    """One request on ``conn``: ``(response, decoded JSON body)``."""
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp, json.loads(resp.read())
+
+
+def test_http_keeps_one_connection_across_requests():
+    server = _server(StubModel())
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=15)
+    try:
+        bodies = [_body(np.arange(5.0) + key) for key in range(5)]
+        for body in bodies:  # both sides below then answer from cache
+            server.handle_explain(body)
+        accepted = server.stats()["http"]["connections"]
+        first_socket = None
+        for i in range(50):
+            body = bodies[i % len(bodies)]
+            resp, got = _exchange(conn, "POST", "/explain",
+                                  json.dumps(body).encode())
+            assert (resp.version, resp.status) == (11, 200)
+            first_socket = first_socket or conn.sock
+            assert conn.sock is first_socket
+            status, want, __ = server.handle_explain(body)
+            assert status == 200
+            # The remaining deadline is the one per-call field.
+            for reply in (got, want):
+                del reply["meta"]["deadline_remaining_ms"]
+            assert got == json.loads(json.dumps(want))
+        assert server.stats()["http"]["connections"] == accepted + 1
+    finally:
+        conn.close()
+        server.stop()
+
+
+def test_concurrent_kept_alive_connections_are_all_counted_and_closed():
+    # Handler threads unregister while the accept loop registers: with
+    # a short switch interval, a lost update would leave ``open`` above
+    # zero once every client has closed.
+    server = _server(StubModel())
+    host, port = server.start()
+    body = json.dumps(_body()).encode()
+    server.handle_explain(_body())  # the clients below hit the cache
+    n_clients, n_requests = 8, 10
+    statuses: list[int] = []
+
+    def client() -> None:
+        conn = http.client.HTTPConnection(host, port, timeout=15)
+        try:
+            for __ in range(n_requests):
+                statuses.append(
+                    _exchange(conn, "POST", "/explain", body)[0].status
+                )
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client) for __ in range(n_clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert statuses == [200] * (n_clients * n_requests)
+        assert server.stats()["http"]["connections"] == n_clients
+        assert _wait_until(lambda: server.stats()["http"]["open"] == 0)
+    finally:
+        server.stop()
+
+
+def test_http_closes_a_connection_whose_body_it_did_not_read():
+    # A body left on the stream would be parsed as the next request
+    # line, so each refusal below closes, and the client's next request
+    # goes out on a fresh connection.
+    server = _server(StubModel())
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=15)
+    valid = json.dumps(_body()).encode()
+
+    def unknown_route():
+        conn.request("POST", "/no/such/route", body=b'{"a": 1}')
+
+    def oversized():
+        conn.putrequest("POST", "/explain")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()
+
+    def chunked():  # an iterable body goes out chunked
+        conn.request("POST", "/explain", body=iter([valid]))
+
+    try:
+        for send, want_status, want_type in (
+            (unknown_route, 404, "UnknownEndpointError"),
+            (oversized, 400, "InputValidationError"),
+            (chunked, 400, "InputValidationError"),
+        ):
+            send()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert (resp.status, body["error"]["type"]) == (
+                want_status, want_type
+            )
+            assert resp.getheader("Connection") == "close"
+            resp, body = _exchange(conn, "POST", "/explain", valid)
+            assert resp.status == 200, body
+    finally:
+        conn.close()
+        server.stop()
+
+
+def test_http_closes_when_the_client_asks():
+    server = _server(StubModel())
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=15)
+    try:
+        resp, __ = _exchange(conn, "GET", "/healthz",
+                             headers={"Connection": "close"})
+        assert resp.status == 200
+        assert resp.getheader("Connection") == "close"
+        assert _wait_until(lambda: server.stats()["http"]["open"] == 0)
+    finally:
+        conn.close()
+        server.stop()
+
+
+def test_stop_ends_kept_alive_connections():
+    server = _server(StubModel())
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=15)
+    try:
+        resp, __ = _exchange(conn, "GET", "/healthz")
+        assert resp.status == 200 and resp.getheader("Connection") is None
+        kept = conn.sock
+        assert server.stats()["http"]["open"] == 1
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 5.0
+        assert _wait_until(lambda: server.stats()["http"]["open"] == 0)
+        # The idle connection is gone: a request on it fails rather than
+        # being served by a handler that outlived stop().
+        with pytest.raises((OSError, http.client.HTTPException)):
+            conn.request("POST", "/explain", body=json.dumps(_body()))
+            assert conn.sock is kept
+            conn.getresponse()
+    finally:
+        conn.close()
+
+
+def test_a_client_reset_between_requests_is_counted_not_printed(capsys):
+    server = _server(StubModel())
+    host, port = server.start()
+    try:
+        sock = socket.create_connection((host, port), timeout=15)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert sock.recv(1 << 16).startswith(b"HTTP/1.1 200")
+        # Closing with a zero linger time sends a reset, not a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        assert _wait_until(lambda: server.stats()["http"]["open"] == 0)
+        errors = metrics.snapshot()["serve.http.errors"]["value"]
+        assert errors == 1
+        assert "Traceback" not in capsys.readouterr().err
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("request_head, want_status", [
+    (b"PUT /explain HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+    (b"GARBAGE\r\n", 400),
+    (b"POST /explain HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+])
+def test_http_protocol_errors_are_json_envelopes(request_head, want_status):
+    server = _server(StubModel())
+    host, port = server.start()
+    try:
+        with socket.create_connection((host, port), timeout=15) as sock:
+            sock.sendall(request_head)
+            chunks = []
+            while chunk := sock.recv(1 << 16):  # until the server closes
+                chunks.append(chunk)
+        head, __, payload = b"".join(chunks).partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        assert status_line.split()[1] == str(want_status)
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(payload)
+        error = json.loads(payload)["error"]
+        assert (error["type"], error["status"]) == (
+            "InputValidationError", want_status
         )
     finally:
         server.stop()
