@@ -1,8 +1,9 @@
 """E3 — TreeSHAP is polynomial where exact enumeration is exponential (§2.1.2).
 
-Claim [46]: exact Shapley needs 2^d coalition evaluations; the TreeSHAP
-recursion computes the same values in polynomial time. The wall-clock gap
-must widen rapidly with the number of features.
+Claim [46]: exact Shapley needs 2^d coalition evaluations; TreeSHAP
+computes the same values in polynomial time (here EXTEND and UNWOUND-SUM
+over the tree's leaf-path table, one row through ``explain``). The
+wall-clock gap must widen rapidly with the number of features.
 """
 
 import time

@@ -55,11 +55,11 @@ with context-copied workers — metrics and spans need no marshalling
 
 The fork-inheritance design is also what makes batch explanation cheap
 to shard: the pre-drawn permutations of a batch estimate (whose game
-holds every row) or a :class:`~repro.shapley.tree.TreePrecompute` built
-once in the parent reach every worker via copy-on-write memory — per
-shard only the ``(lo, hi)`` walk or row slice crosses the pickle
-boundary, never the permutation arrays, the instance matrix or the tree
-tables.
+holds every row) or a :class:`~repro.shapley.tree.TreePrecompute` (the
+model's stacked leaf-path table) built once in the parent reach every
+worker via copy-on-write memory — per shard only the ``(lo, hi)`` walk
+or row slice crosses the pickle boundary, never the permutation arrays,
+the instance matrix or the path table.
 """
 
 from __future__ import annotations

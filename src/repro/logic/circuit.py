@@ -124,39 +124,36 @@ def compile_tree(
     means the feature is 0). The circuit is true exactly when the tree
     predicts ``positive_class``.
     """
-    all_vars = frozenset(range(n_features))
-    paths: list[list[Literal]] = []
-    tree = tree.as_lists()
-
-    def walk(node: int, literals: list[Literal]) -> None:
-        if tree.is_leaf(node):
-            value = tree.value[node]
-            predicted = int(np.argmax(value)) if len(value) > 1 else int(value[0] >= 0.5)
-            if predicted == positive_class:
-                paths.append(list(literals))
-            return
-        feature = tree.feature[node]
-        threshold = tree.threshold[node]
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(
-                f"node {node} splits feature {feature} at {threshold}; "
-                "compile_tree requires binarized features"
-            )
-        walk(tree.children_left[node], literals + [Literal(feature, False)])
-        walk(tree.children_right[node], literals + [Literal(feature, True)])
-
-    walk(0, [])
-    if not paths:
+    internal = np.flatnonzero(tree.feature != -1)
+    thresholds = tree.threshold[internal]
+    outside = internal[~((0.0 < thresholds) & (thresholds < 1.0))]
+    if outside.size:
+        node = int(outside[0])
+        raise ValueError(
+            f"node {node} splits feature {int(tree.feature[node])} at "
+            f"{float(tree.threshold[node])}; "
+            "compile_tree requires binarized features"
+        )
+    paths = tree.leaf_paths()
+    value = tree.value[paths.leaf]
+    predicted = (np.argmax(value, axis=1) if value.shape[1] > 1
+                 else (value[:, 0] >= 0.5).astype(int))
+    accepting = np.flatnonzero(predicted == positive_class).tolist()
+    if not accepting:
         raise ValueError("tree never predicts the positive class")
+    all_vars = frozenset(range(n_features))
     disjuncts = []
-    for literals in paths:
-        # A path tests each feature at most once after CART pruning, but a
-        # redundant re-test is consistent — deduplicate defensively.
-        unique = {(l.var, l.positive) for l in literals}
-        vars_on_path = {v for v, __ in unique}
-        if len(vars_on_path) != len(unique):
+    for p in accepting:
+        k = int(paths.k[p])
+        # Going left means the feature is 0 (a finite upper bound), going
+        # right that it is 1 (a finite lower bound); a path that goes
+        # both ways on one feature is contradictory.
+        went_left = np.isfinite(paths.hi[p, :k])
+        went_right = np.isfinite(paths.lo[p, :k])
+        if (went_left & went_right).any():
             raise ValueError("contradictory path literals")
-        conj = [Literal(v, pos) for v, pos in sorted(unique)]
+        conj = [Literal(f, right) for f, right in sorted(
+            zip(paths.feature[p, :k].tolist(), went_right.tolist()))]
         if len(conj) == 1:
             disjuncts.append(_smooth(conj[0], all_vars))
         else:

@@ -4,7 +4,7 @@ Shih, Choi & Darwiche (2018) and Darwiche & Hirth (2020) explain a
 classifier's decision with a *sufficient reason*: a subset-minimal set of
 features whose current values force the prediction regardless of all
 other features. On a decision tree the "is this subset sufficient?" check
-is linear time (walk the tree, branching both ways on free features), so
+is linear time (one pass over the tree's leaf paths), so
 minimal reasons are found exactly; the same check applied to a black box
 is exponential — the intractability the tutorial flags for model-agnostic
 settings.
@@ -37,27 +37,20 @@ def possible_classes(
     model: DecisionTreeClassifier, x: np.ndarray, fixed: set[int]
 ) -> set[int]:
     """Classes the tree can output when only ``fixed`` features keep x's
-    values and all others range freely."""
+    values and all others range freely.
+
+    A leaf is reachable exactly when x passes every test its path makes
+    on a fixed feature (``lo < x <= hi`` in the tree's
+    :meth:`~repro.models.tree.TreeStructure.leaf_paths` table).
+    """
     x = np.asarray(x, dtype=float).ravel()
-    tree = model.tree_.as_lists()
-    out: set[int] = set()
-
-    def walk(node: int) -> None:
-        if tree.is_leaf(node):
-            out.add(int(np.argmax(tree.value[node])))
-            return
-        feature = tree.feature[node]
-        if feature in fixed:
-            if x[feature] <= tree.threshold[node]:
-                walk(tree.children_left[node])
-            else:
-                walk(tree.children_right[node])
-        else:
-            walk(tree.children_left[node])
-            walk(tree.children_right[node])
-
-    walk(0)
-    return out
+    tree = model.tree_
+    paths = tree.leaf_paths()
+    values = x[paths.feature]
+    passes = (paths.lo < values) & (values <= paths.hi)
+    held = np.isin(paths.feature, list(fixed))
+    reachable = (passes | ~held).all(axis=1)
+    return set(np.argmax(tree.value[paths.leaf[reachable]], axis=1).tolist())
 
 
 def is_sufficient(

@@ -21,11 +21,15 @@ any gather rather than reading the next row's values. Rows go in blocks
 of about ``_BLOCK_CELLS`` row-tree cells, which keeps the walk's
 temporaries small and in cache.
 
-Scalar walkers (TreeSHAP's recursions, the logic explainers,
-:meth:`TreeStructure.decision_path`) read a per-call list view,
-:meth:`TreeStructure.as_lists`: numpy scalars in per-node Python
-arithmetic cost about a third more than Python floats, and the logic
-explainers and ``repro.io`` want Python ``int`` and ``float`` back.
+Every walker that sums or tests over a tree's root-to-leaf paths
+(path-dependent and interventional TreeSHAP, their base values, the
+logic explainers) reads one table, :meth:`TreeStructure.leaf_paths`:
+one row per leaf and, per distinct feature on the path, the interval a
+row must fall in to follow the path and the product of the path's
+cover fractions on that feature. It is built on first use, never by
+``fit`` or ``predict``, and holds leaf ids rather than values, so
+gradient boosting's in-place Newton rewrite of ``value`` cannot make it
+stale.
 
 Splits are of the form ``x[feature] <= threshold`` going left. Numeric
 split search is vectorized: per candidate feature the node's rows are
@@ -42,7 +46,12 @@ import numpy as np
 from ..persist.protocol import Serializable, register_serializable
 from .base import BaseModel, ClassifierMixin, RegressorMixin
 
-__all__ = ["TreeStructure", "DecisionTreeClassifier", "DecisionTreeRegressor"]
+__all__ = [
+    "LeafPaths",
+    "TreeStructure",
+    "DecisionTreeClassifier",
+    "DecisionTreeRegressor",
+]
 
 _LEAF = -1
 # Row-tree cells walked per block: 2^14 keeps each int64 temporary at
@@ -63,25 +72,62 @@ def _check_width(X: np.ndarray, n_features: int) -> None:
         )
 
 
-class TreeLists(NamedTuple):
-    """Python-list view of a :class:`TreeStructure` for scalar walkers."""
+class LeafPaths(NamedTuple):
+    """A tree's root-to-leaf paths as a table, one row per leaf.
 
-    feature: list
-    threshold: list
-    children_left: list
-    children_right: list
-    value: list
-    n_node_samples: list
+    Rows go in the order a left-first preorder walk reaches the leaves,
+    which is leaf-id order for CART trees (the builder numbers nodes in
+    preorder). Slot ``j < k[p]`` of row ``p`` is the ``j``-th distinct
+    feature the path tests, in order of its first test: a row ``x``
+    passes every test the path makes on it exactly when
+    ``lo < x[feature] <= hi``, and ``zero`` is the product of
+    child/parent ``n_node_samples`` over those tests. Later slots are
+    padding: feature -1, the whole line, zero fraction 1.
+    """
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] == _LEAF
+    leaf: np.ndarray
+    k: np.ndarray
+    feature: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    zero: np.ndarray
 
-    def depth(self, node: int = 0) -> int:
-        """Height of the subtree rooted at ``node`` (leaf = 0)."""
-        if self.feature[node] == _LEAF:
-            return 0
-        return 1 + max(self.depth(self.children_left[node]),
-                       self.depth(self.children_right[node]))
+
+def _tabulate_paths(tree: "TreeStructure") -> LeafPaths:
+    feature = tree.feature.tolist()
+    threshold = tree.threshold.tolist()
+    left = tree.children_left.tolist()
+    right = tree.children_right.tolist()
+    cover = tree.n_node_samples.tolist()
+    rows = []
+    stack = [(0, {})]  # (node, {feature: (lo, hi, zero)}) in first-test order
+    while stack:
+        node, slots = stack.pop()
+        f = feature[node]
+        if f == _LEAF:
+            rows.append((node, slots))
+            continue
+        t = threshold[node]
+        lo, hi, zero = slots.get(f, (-np.inf, np.inf, 1.0))
+        # Right first, so the left child is walked first.
+        for child, bounds in ((right[node], (max(lo, t), hi)),
+                              (left[node], (lo, min(hi, t)))):
+            fraction = zero * cover[child] / cover[node]
+            stack.append((child, {**slots, f: (*bounds, fraction)}))
+    width = max((len(slots) for __, slots in rows), default=0)
+    shape = (len(rows), width)
+    paths = LeafPaths(
+        leaf=np.array([leaf for leaf, __ in rows], dtype=np.intp),
+        k=np.array([len(slots) for __, slots in rows], dtype=np.intp),
+        feature=np.full(shape, _LEAF, dtype=np.intp),
+        lo=np.full(shape, -np.inf), hi=np.full(shape, np.inf),
+        zero=np.ones(shape),
+    )
+    for p, (__, slots) in enumerate(rows):
+        for j, (f, (lo, hi, zero)) in enumerate(slots.items()):
+            paths.feature[p, j] = f
+            paths.lo[p, j], paths.hi[p, j], paths.zero[p, j] = lo, hi, zero
+    return paths
 
 
 @register_serializable("models.TreeStructure")
@@ -94,8 +140,8 @@ class TreeStructure:
     ``(n_nodes, n_classes)``), scalars for regressors (``(n_nodes, 1)``).
     ``n_node_samples`` is the training "cover" used by path-dependent
     TreeSHAP. The node arrays must not change after construction (the
-    walk tables are derived from them once); ``value`` may be rewritten
-    in place, as gradient boosting's Newton step does.
+    walk and path tables are derived from them once); ``value`` may be
+    rewritten in place, as gradient boosting's Newton step does.
     """
 
     feature: np.ndarray
@@ -113,6 +159,7 @@ class TreeStructure:
         self.value = np.asarray(self.value, dtype=float)
         self.n_node_samples = np.asarray(self.n_node_samples, dtype=float)
         self._walk: StackedTrees | None = None
+        self._paths: LeafPaths | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -125,17 +172,17 @@ class TreeStructure:
     def is_leaf(self, node: int) -> bool:
         return bool(self.feature[node] == _LEAF)
 
-    def as_lists(self) -> TreeLists:
-        """The six arrays as Python lists (``value`` as a list of rows)."""
-        return TreeLists(
-            self.feature.tolist(), self.threshold.tolist(),
-            self.children_left.tolist(), self.children_right.tolist(),
-            self.value.tolist(), self.n_node_samples.tolist(),
-        )
-
     def depth(self, node: int = 0) -> int:
         """Height of the subtree rooted at ``node`` (leaf = 0)."""
-        return self.as_lists().depth(node)
+        level = np.array([node], dtype=np.intp)
+        height = 0
+        while True:
+            level = level[self.feature[level] != _LEAF]
+            if not level.size:
+                return height
+            height += 1
+            level = np.concatenate([self.children_left[level],
+                                    self.children_right[level]])
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each row of ``X``."""
@@ -143,21 +190,28 @@ class TreeStructure:
             self._walk = StackedTrees([self])
         return self._walk.apply(np.atleast_2d(np.asarray(X, dtype=float)))[0]
 
+    def leaf_paths(self) -> LeafPaths:
+        """The tree's :class:`LeafPaths` table, built on first use."""
+        if self._paths is None:
+            self._paths = _tabulate_paths(self)
+        return self._paths
+
     def decision_path(self, x: np.ndarray) -> list[tuple[int, int, float, bool]]:
         """Internal nodes on the root-to-leaf path of ``x``.
 
-        Each entry is ``(node, feature, threshold, went_left)``.
+        Each entry is ``(node, feature, threshold, went_left)``, as
+        Python ``int``, ``int``, ``float`` and ``bool``.
         """
-        x = np.asarray(x, dtype=float).ravel().tolist()
-        tree = self.as_lists()
+        x = np.asarray(x, dtype=float).ravel()
         path = []
         node = 0
-        while not tree.is_leaf(node):
-            feature, threshold = tree.feature[node], tree.threshold[node]
-            went_left = x[feature] <= threshold
+        while self.feature[node] != _LEAF:
+            feature = int(self.feature[node])
+            threshold = float(self.threshold[node])
+            went_left = bool(x[feature] <= threshold)
             path.append((node, feature, threshold, went_left))
-            node = (tree.children_left[node] if went_left
-                    else tree.children_right[node])
+            node = int(self.children_left[node] if went_left
+                       else self.children_right[node])
         return path
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:

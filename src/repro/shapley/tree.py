@@ -7,41 +7,40 @@ trees"): Shapley values of the *tree conditional expectation* game
     v(S) = EXPVALUE(x, S) — follow the tree; at a split on a feature
     outside S, average both children weighted by training cover,
 
-computed for all features simultaneously in O(L·D²) per tree by carrying
-the EXTEND/UNWIND summary of feature-subset proportions down each
-root-to-leaf path. :func:`tree_expected_value` is the direct (exponential
-when combined with subset enumeration) oracle of the same game; the test
-suite checks the fast algorithm against exact enumeration through it.
+computed for all features simultaneously in O(L·D²) per tree with the
+EXTEND/UNWOUND-SUM summary of feature-subset proportions.
+:func:`tree_expected_value` is the direct (exponential when combined
+with subset enumeration) oracle of the same game; the test suite checks
+the fast algorithm against exact enumeration through it.
 
 Supported models: both CART trees, :class:`RandomForestClassifier`
 (explains the averaged class-1 probability) and the gradient boosting
 models (explains the raw additive score — log-odds for the classifier).
 
-Amortization (PR 7): the recursion's *structure* — node arrays, leaf
-scalars, per-child cover fractions, the ensemble expected value — does
-not depend on the instance, so :class:`TreePrecompute` extracts it once
-per model (cached across explainer instances, inherited read-only by
-process-backend shards via fork) and
-:func:`batch_tree_shap_values` then runs one traversal with the numeric
-path state held as per-row *vectors*: the whole batch is explained in a
-single O(nodes · depth²) pass instead of a full re-traversal per row.
-Hot/cold asymmetry between instances lives entirely in the
-``one_fraction`` entries (the ``zero_fraction`` chain is cover-only and
-row-independent), so every elementwise operation reproduces the scalar
-algorithm's arithmetic exactly; the fused pass visits children in fixed
-left-then-right order (the scalar path recurses hot-first), which can
-differ from :func:`tree_shap_values` in the last ulp of the leaf
-accumulation. Since the kernel is elementwise per row, fused results are
-bitwise-identical across backends, batch splits and batch sizes; only
-the scalar-vs-fused comparison carries the ulp caveat. Single-row
-``explain`` stays on the scalar kernel (numpy per-node overhead only
-amortizes across rows); ``explain_batch`` uses the fused kernel.
+One kernel over leaf-path tables. A leaf's share of v(S) factors over
+the distinct features on its path: a feature in S contributes whether
+x passes every test the path makes on it (the *one fraction*), a
+feature outside S the product of its cover fractions (the *zero
+fraction*). So each root-to-leaf path's Shapley weights come from
+EXTEND over that path's k elements and UNWOUND-SUM for each element,
+with no reference to the rest of the tree — the GPUTreeShap formulation
+(Mitchell, Frank & Holmes, PeerJ CS 2022). :class:`TreePrecompute`
+stacks the component trees' :meth:`~repro.models.tree.TreeStructure.leaf_paths`
+once per model, groups them by k, and runs EXTEND and UNWOUND-SUM over
+(slot × path × row) arrays: O(k) numpy calls per group, in row blocks
+of about ``_BLOCK_CELLS`` cells. ``explain`` runs the same kernel on one
+row. Each row's φ is accumulated by ``np.bincount`` over (row, feature)
+keys, which adds a row's terms in a fixed (group, slot, path) order, so
+a row's values do not depend on the rows beside it: they are bitwise
+equal across ``explain`` and ``explain_batch``, backends and batch
+splits.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,24 +55,22 @@ from ..models.forest import RandomForestClassifier
 from ..models.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
-    TreeLists,
     TreeStructure,
 )
 
 __all__ = [
-    "tree_shap_values",
     "tree_expected_value",
-    "batch_tree_shap_values",
     "TreePrecompute",
     "TreeShapExplainer",
 ]
 
-
-def _leaf_scalar(tree: TreeLists, node: int, class_index: int | None) -> float:
-    value = tree.value[node]
-    if class_index is None:
-        return float(value[0])
-    return float(value[class_index])
+# (slots × paths × rows) cells per kernel block, which keeps each float
+# temporary at 64 KiB. In five interleaved sweeps of 256-row batches (the
+# loan GBM, a depth-6 tree over 12 features, a 20-tree forest of 702
+# paths), 2^13 cells ran fast in every process (forest 55–59 ms); 2^14
+# and 2^15 ran as fast or faster in some processes and 1.3–1.9× slower in
+# others, and 2^12 cells and unblocked batches ran up to 1.5× slower.
+_BLOCK_CELLS = 1 << 13
 
 
 def tree_expected_value(
@@ -85,319 +82,108 @@ def tree_expected_value(
     """EXPVALUE: conditional expectation of the tree with features S fixed.
 
     ``mask[j]`` true means feature ``j`` is *present* (follows ``x``);
-    absent features are integrated out by cover-weighted averaging.
+    absent features are integrated out by cover-weighted averaging. A
+    recursion over the node arrays that shares no code with the
+    path-table kernel, so tests can enumerate through it.
     """
     x = np.asarray(x, dtype=float).ravel()
     mask = np.asarray(mask, dtype=bool).ravel()
-    tree = tree.as_lists()
+    feature = tree.feature.tolist()
+    threshold = tree.threshold.tolist()
+    left, right = tree.children_left.tolist(), tree.children_right.tolist()
+    cover = tree.n_node_samples.tolist()
+    value = tree.value[:, 0 if class_index is None else class_index].tolist()
 
     def recurse(node: int) -> float:
-        if tree.is_leaf(node):
-            return _leaf_scalar(tree, node, class_index)
-        feature = tree.feature[node]
-        left, right = tree.children_left[node], tree.children_right[node]
-        if mask[feature]:
-            child = left if x[feature] <= tree.threshold[node] else right
-            return recurse(child)
-        w_left = tree.n_node_samples[left]
-        w_right = tree.n_node_samples[right]
-        total = w_left + w_right
-        return (w_left * recurse(left) + w_right * recurse(right)) / total
+        f = feature[node]
+        if f == -1:
+            return value[node]
+        a, b = left[node], right[node]
+        if mask[f]:
+            return recurse(a if x[f] <= threshold[node] else b)
+        return (cover[a] * recurse(a) + cover[b] * recurse(b)) / (cover[a] + cover[b])
 
     return recurse(0)
 
 
-class _PathElement:
-    """One entry of the TreeSHAP path summary."""
+class PathGroup(NamedTuple):
+    """The stacked leaf paths with k distinct features, slot-major:
+    ``feature``, ``lo``, ``hi`` and ``zero`` are ``(k, n)`` arrays and
+    ``value`` (tree weight × leaf value) is ``(n,)``."""
 
-    __slots__ = ("feature", "zero_fraction", "one_fraction", "pweight")
-
-    def __init__(self, feature: int = -1, zero_fraction: float = 0.0,
-                 one_fraction: float = 0.0, pweight: float = 0.0) -> None:
-        self.feature = feature
-        self.zero_fraction = zero_fraction
-        self.one_fraction = one_fraction
-        self.pweight = pweight
-
-    def copy(self) -> "_PathElement":
-        return _PathElement(
-            self.feature, self.zero_fraction, self.one_fraction, self.pweight
-        )
+    feature: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    zero: np.ndarray
+    value: np.ndarray
 
 
-def _extend(path: list[_PathElement], depth: int, zero_fraction: float,
-            one_fraction: float, feature: int) -> None:
-    path[depth].feature = feature
-    path[depth].zero_fraction = zero_fraction
-    path[depth].one_fraction = one_fraction
-    path[depth].pweight = 1.0 if depth == 0 else 0.0
-    for i in range(depth - 1, -1, -1):
-        path[i + 1].pweight += (
-            one_fraction * path[i].pweight * (i + 1) / (depth + 1)
-        )
-        path[i].pweight = (
-            zero_fraction * path[i].pweight * (depth - i) / (depth + 1)
-        )
+class _Factors(NamedTuple):
+    """A group's row-independent EXTEND and UNWOUND-SUM factors, shaped
+    to broadcast against ``(slot, path, row)`` arrays."""
+
+    grow: list  # [d]: (i + 1) / (d + 1) for i < d
+    shrink: list  # [d]: zero of element d × (d − i) / (d + 1)
+    carry: list  # [i]: zero × (k − i) / (k + 1), per element
+    hot_value: np.ndarray  # (1 − zero) × value, per element
+    cold_value: np.ndarray  # −value
 
 
-def _unwind(path: list[_PathElement], depth: int, index: int) -> None:
-    one_fraction = path[index].one_fraction
-    zero_fraction = path[index].zero_fraction
-    next_one = path[depth].pweight
-    for i in range(depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = path[i].pweight
-            path[i].pweight = next_one * (depth + 1) / ((i + 1) * one_fraction)
-            next_one = tmp - path[i].pweight * zero_fraction * (depth - i) / (depth + 1)
-        else:
-            path[i].pweight = path[i].pweight * (depth + 1) / (
-                zero_fraction * (depth - i)
-            )
-    for i in range(index, depth):
-        path[i].feature = path[i + 1].feature
-        path[i].zero_fraction = path[i + 1].zero_fraction
-        path[i].one_fraction = path[i + 1].one_fraction
+def _factors(group: PathGroup) -> _Factors:
+    k = group.feature.shape[0]
+    zero = group.zero[..., None]
+    grow, shrink = [None], [None]
+    for d in range(1, k + 1):
+        i = np.arange(d)[:, None, None]
+        grow.append((i + 1) / (d + 1))
+        shrink.append(zero[d - 1] * (d - i) / (d + 1))
+    return _Factors(
+        grow, shrink, [zero * (k - i) / (k + 1) for i in range(k)],
+        (1.0 - zero) * group.value[:, None], -group.value[:, None],
+    )
 
 
-def _unwound_sum(path: list[_PathElement], depth: int, index: int) -> float:
-    one_fraction = path[index].one_fraction
-    zero_fraction = path[index].zero_fraction
-    next_one = path[depth].pweight
-    total = 0.0
-    for i in range(depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = next_one * (depth + 1) / ((i + 1) * one_fraction)
-            total += tmp
-            next_one = path[i].pweight - tmp * zero_fraction * (depth - i) / (depth + 1)
-        else:
-            total += path[i].pweight * (depth + 1) / (zero_fraction * (depth - i))
-    return total
+def row_blocks(n_rows: int, group: PathGroup):
+    """``(lo, hi)`` row ranges of about ``_BLOCK_CELLS`` cells of ``group``."""
+    step = max(1, _BLOCK_CELLS // max(1, group.feature.size))
+    for lo in range(0, n_rows, step):
+        yield lo, min(n_rows, lo + step)
 
 
-def tree_shap_values(
-    tree: TreeStructure,
-    x: np.ndarray,
-    n_features: int,
-    class_index: int | None = None,
-) -> np.ndarray:
-    """Exact Shapley values of one tree's conditional-expectation game."""
-    x = np.asarray(x, dtype=float).ravel()
-    phi = np.zeros(n_features)
-    tree = tree.as_lists()
-    max_depth = tree.depth(0) + 2
-
-    def recurse(
-        node: int,
-        parent_path: list[_PathElement],
-        depth: int,
-        zero_fraction: float,
-        one_fraction: float,
-        feature: int,
-    ) -> None:
-        path = [el.copy() for el in parent_path]
-        while len(path) <= depth + max_depth:
-            path.append(_PathElement())
-        _extend(path, depth, zero_fraction, one_fraction, feature)
-        if tree.is_leaf(node):
-            leaf_value = _leaf_scalar(tree, node, class_index)
-            for i in range(1, depth + 1):
-                w = _unwound_sum(path, depth, i)
-                phi[path[i].feature] += (
-                    w * (path[i].one_fraction - path[i].zero_fraction) * leaf_value
-                )
-            return
-        split_feature = tree.feature[node]
-        left, right = tree.children_left[node], tree.children_right[node]
-        hot, cold = (
-            (left, right) if x[split_feature] <= tree.threshold[node] else (right, left)
-        )
-        incoming_zero, incoming_one = 1.0, 1.0
-        new_depth = depth
-        # A repeat split on the same feature must first undo its previous
-        # path entry (the path tracks *unique* features).
-        for i in range(1, depth + 1):
-            if path[i].feature == split_feature:
-                incoming_zero = path[i].zero_fraction
-                incoming_one = path[i].one_fraction
-                _unwind(path, depth, i)
-                new_depth = depth - 1
-                break
-        cover = tree.n_node_samples[node]
-        recurse(
-            hot, path, new_depth + 1,
-            incoming_zero * tree.n_node_samples[hot] / cover,
-            incoming_one, split_feature,
-        )
-        recurse(
-            cold, path, new_depth + 1,
-            incoming_zero * tree.n_node_samples[cold] / cover,
-            0.0, split_feature,
-        )
-
-    recurse(0, [], 0, 1.0, 1.0, -1)
-    return phi
-
-
-def _tree_base_value(tree: TreeStructure, class_index: int | None) -> float:
-    """Cover-weighted mean leaf value = EXPVALUE with the empty set."""
-    tree = tree.as_lists()
-
-    def recurse(node: int) -> float:
-        if tree.is_leaf(node):
-            return _leaf_scalar(tree, node, class_index)
-        left, right = tree.children_left[node], tree.children_right[node]
-        w_left, w_right = tree.n_node_samples[left], tree.n_node_samples[right]
-        return (w_left * recurse(left) + w_right * recurse(right)) / (w_left + w_right)
-
-    return recurse(0)
-
-
-# -- per-model precompute + fused batch kernel --------------------------------
-
-
-class _TreeArrays:
-    """One tree's instance-independent structure for the fused kernel.
-
-    The node arrays are the model's own. ``frac[c]`` is child ``c``'s
-    cover fraction of its parent — the multiplier the scalar algorithm
-    recomputes as ``n_node_samples[c] / n_node_samples[parent]`` at every
-    visit. ``value`` holds each leaf's explained scalar (the
-    ``class_index`` column already selected); internal nodes carry 0.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "is_leaf",
-                 "value", "frac")
-
-    def __init__(self, tree: TreeStructure, class_index: int | None) -> None:
-        self.feature = tree.feature
-        self.threshold = tree.threshold
-        self.left = tree.children_left
-        self.right = tree.children_right
-        self.is_leaf = self.feature == -1
-        column = tree.value[:, 0 if class_index is None else class_index]
-        self.value = np.where(self.is_leaf, column, 0.0)
-        cover = tree.n_node_samples
-        parents = np.flatnonzero(~self.is_leaf)
-        self.frac = np.ones(tree.n_nodes)
-        for children in (self.left[parents], self.right[parents]):
-            self.frac[children] = cover[children] / cover[parents]
-
-
-def _vec_unwind(feats, zeros, ones, ws, depth, index) -> None:
-    """Vectorized UNWIND: remove path entry ``index``, rebinding only.
-
-    The scalar algorithm branches on ``one_fraction != 0`` per instance;
-    here both branch expressions are computed over the whole batch with
-    masked (division-safe) denominators and selected per row — the
-    arithmetic of each selected element is literally the scalar
-    branch's. Entry fields shift down exactly as the scalar version
-    does: feature/zero/one slide, pweights do not.
-    """
-    one = ones[index]
-    zero = zeros[index]
-    hot = one != 0.0
-    next_one = ws[depth]
-    for i in range(depth - 1, -1, -1):
-        safe = np.where(hot, (i + 1) * one, 1.0)
-        cand_hot = next_one * (depth + 1) / safe
-        cand_cold = ws[i] * (depth + 1) / (zero * (depth - i))
-        next_one = np.where(
-            hot, ws[i] - cand_hot * zero * (depth - i) / (depth + 1), next_one
-        )
-        ws[i] = np.where(hot, cand_hot, cand_cold)
-    for i in range(index, depth):
-        feats[i] = feats[i + 1]
-        zeros[i] = zeros[i + 1]
-        ones[i] = ones[i + 1]
-
-
-def _vec_unwound_sum(zeros, ones, ws, depth, index):
-    """Vectorized UNWOUND-SUM: entry ``index``'s total unwound weight."""
-    one = ones[index]
-    zero = zeros[index]
-    hot = one != 0.0
-    next_one = ws[depth]
-    total = np.zeros(next_one.shape[0])
-    for i in range(depth - 1, -1, -1):
-        safe = np.where(hot, (i + 1) * one, 1.0)
-        tmp = next_one * (depth + 1) / safe
-        total = total + np.where(
-            hot, tmp, ws[i] * (depth + 1) / (zero * (depth - i))
-        )
-        next_one = np.where(
-            hot, ws[i] - tmp * zero * (depth - i) / (depth + 1), next_one
-        )
-    return total
-
-
-def batch_tree_shap_values(arrays: _TreeArrays, X: np.ndarray) -> np.ndarray:
-    """Path-dependent TreeSHAP of one tree for every row of ``X`` at once.
-
-    One traversal of the tree explains the whole batch: the path's
-    ``one_fraction`` and ``pweight`` entries are ``(n_rows,)`` vectors
-    (``zero_fraction`` is cover-only, hence a scalar), children are
-    visited in fixed left-then-right order, and each row's hot/cold
-    role is encoded by zeroing its ``one_fraction`` on the cold side —
-    exactly the scalar EXTEND/UNWIND arithmetic, elementwise. Path
-    state is copy-on-descend with rebind-only updates, so sibling
-    subtrees never alias each other's vectors.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n_rows, n_features = X.shape
-    phi = np.zeros((n_rows, n_features))
-
-    def recurse(node, feats, zeros, ones, ws, depth,
-                zero_fraction, one_fraction, split_feature):
-        feats = list(feats)
-        zeros = list(zeros)
-        ones = list(ones)
-        ws = list(ws)
-        while len(feats) <= depth:
-            feats.append(-1)
-            zeros.append(0.0)
-            ones.append(None)
-            ws.append(None)
-        # EXTEND
-        feats[depth] = split_feature
-        zeros[depth] = zero_fraction
-        ones[depth] = one_fraction
-        ws[depth] = np.ones(n_rows) if depth == 0 else np.zeros(n_rows)
-        for i in range(depth - 1, -1, -1):
-            ws[i + 1] = ws[i + 1] + one_fraction * ws[i] * (i + 1) / (depth + 1)
-            ws[i] = zero_fraction * ws[i] * (depth - i) / (depth + 1)
-        if arrays.is_leaf[node]:
-            leaf_value = arrays.value[node]
-            for i in range(1, depth + 1):
-                w = _vec_unwound_sum(zeros, ones, ws, depth, i)
-                phi[:, feats[i]] += w * (ones[i] - zeros[i]) * leaf_value
-            return
-        f = int(arrays.feature[node])
-        left, right = int(arrays.left[node]), int(arrays.right[node])
-        goes_left = X[:, f] <= arrays.threshold[node]
-        incoming_zero = 1.0
-        incoming_one = one_ones
-        new_depth = depth
-        for i in range(1, depth + 1):
-            if feats[i] == f:
-                incoming_zero = zeros[i]
-                incoming_one = ones[i]
-                _vec_unwind(feats, zeros, ones, ws, depth, i)
-                new_depth = depth - 1
-                break
-        recurse(
-            left, feats, zeros, ones, ws, new_depth + 1,
-            incoming_zero * arrays.frac[left],
-            np.where(goes_left, incoming_one, 0.0), f,
-        )
-        recurse(
-            right, feats, zeros, ones, ws, new_depth + 1,
-            incoming_zero * arrays.frac[right],
-            np.where(goes_left, 0.0, incoming_one), f,
-        )
-
-    one_ones = np.ones(n_rows)
-    recurse(0, [], [], [], [], 0, 1.0, one_ones, -1)
-    return phi
+def _path_shap(group: PathGroup, factors: _Factors, X: np.ndarray
+               ) -> np.ndarray:
+    """φ of every row of ``X`` over one group's paths, ``(rows, d)``."""
+    n_rows, d = X.shape
+    k, n_paths = group.feature.shape
+    x = X.T[group.feature]
+    one = (group.lo[..., None] < x) & (x <= group.hi[..., None])
+    # EXTEND: pweight 0 is the root's, element j the path's j-th
+    # feature; the one fraction is x's interval indicator.
+    w = np.zeros((k + 1, n_paths, n_rows))
+    w[0] = 1.0
+    for depth in range(1, k + 1):
+        grown = w[:depth] * factors.grow[depth]
+        grown *= one[depth - 1]
+        w[:depth] *= factors.shrink[depth]
+        w[1:depth + 1] += grown
+    # UNWOUND-SUM of every element at once. A hot element (one fraction
+    # 1) unwinds through the (i + 1) divisors. A cold one (0) unwinds to
+    # Σ_i w[i] (k + 1) / (zero (k − i)), and its term, that times
+    # −zero × value, is −value × Σ_i w[i] (k + 1) / (k − i): one sum
+    # serves every cold element of a path, and no zero is divided by.
+    hot_sum = np.zeros((k, n_paths, n_rows))
+    cold_sum = np.zeros((n_paths, n_rows))
+    next_one = w[k]
+    for i in range(k - 1, -1, -1):
+        hot = next_one * ((k + 1) / (i + 1))
+        hot_sum += hot
+        next_one = w[i] - hot * factors.carry[i]
+        cold_sum += w[i] * ((k + 1) / (k - i))
+    terms = np.where(one, hot_sum * factors.hot_value,
+                     cold_sum * factors.cold_value)
+    keys = group.feature[..., None] + np.arange(0, n_rows * d, d)
+    return np.bincount(keys.ravel(), terms.ravel(),
+                       minlength=n_rows * d).reshape(n_rows, d)
 
 
 # Per-model precompute store: one TreePrecompute per live model object,
@@ -410,29 +196,62 @@ _PRECOMPUTE_STORE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 @dataclass
 class TreePrecompute:
-    """Everything instance-independent about one tree model's TreeSHAP.
+    """One tree model's leaf paths, stacked and grouped by k.
 
-    Built once per model (see :func:`tree_precompute`): the flattened
-    node arrays with leaf scalars and cover fractions per component
-    tree, the per-component ensemble weights, and the cover-weighted
-    expected value. ``shap_values`` is then O(nodes · depth²) for an
-    entire batch.
+    Built once per model (see :func:`tree_precompute`). ``groups`` holds
+    one :class:`PathGroup` per k in increasing order, the component
+    trees' paths in component and leaf order; ``offset`` is the constant
+    every output adds (gradient boosting's ``init_raw_``), and
+    ``expected_value`` the cover-weighted mean output,
+    ``offset + Σ value × Π zero``.
     """
 
-    trees: list
-    weights: list
+    groups: list
+    offset: float
     expected_value: float
 
+    def __post_init__(self) -> None:
+        self._factors = [_factors(group) for group in self.groups]
+
     def shap_values(self, X: np.ndarray) -> np.ndarray:
-        """Ensemble Shapley values for every row of ``X``."""
+        """Ensemble Shapley values for every row of ``X``.
+
+        Per group and row block, one ``np.bincount`` over (row,
+        feature) keys adds a row's terms in (slot, path) order.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        phi = np.zeros((X.shape[0], X.shape[1]))
-        for arrays, weight in zip(self.trees, self.weights):
-            phi += weight * batch_tree_shap_values(arrays, X)
+        phi = np.zeros(X.shape)
+        for group, factors in zip(self.groups, self._factors):
+            if group.feature.shape[0]:
+                for lo, hi in row_blocks(X.shape[0], group):
+                    phi[lo:hi] += _path_shap(group, factors, X[lo:hi])
         return phi
 
 
-def tree_precompute(model, components, expected_value: float) -> TreePrecompute:
+def _stack_paths(components, offset: float) -> TreePrecompute:
+    parts: dict[int, list] = {}
+    for tree, weight, class_index in components:
+        paths = tree.leaf_paths()
+        column = 0 if class_index is None else class_index
+        value = weight * tree.value[paths.leaf, column]
+        for k in np.unique(paths.k).tolist():
+            rows = paths.k == k
+            parts.setdefault(k, []).append((
+                paths.feature[rows, :k], paths.lo[rows, :k],
+                paths.hi[rows, :k], paths.zero[rows, :k], value[rows],
+            ))
+    # Slot-major and C-contiguous, so the kernel's arrays are too.
+    groups = [PathGroup(*(np.concatenate(arrays).T.copy()
+                          for arrays in zip(*parts[k])))
+              for k in sorted(parts)]
+    expected = offset + sum(
+        float(np.sum(group.value * np.prod(group.zero, axis=0)))
+        for group in groups
+    )
+    return TreePrecompute(groups, float(offset), float(expected))
+
+
+def tree_precompute(model, components, offset: float) -> TreePrecompute:
     """The model's cached :class:`TreePrecompute`, built on first use.
 
     A stored precompute serves only while ``components`` holds the very
@@ -448,11 +267,7 @@ def tree_precompute(model, components, expected_value: float) -> TreePrecompute:
         old is new for old, new in zip(cached[0], trees)
     ):
         return cached[1]
-    pre = TreePrecompute(
-        trees=[_TreeArrays(tree, ci) for tree, __, ci in components],
-        weights=[weight for __, weight, __ci in components],
-        expected_value=float(expected_value),
-    )
+    pre = _stack_paths(components, offset)
     try:
         _PRECOMPUTE_STORE[model] = (trees, pre)
     except TypeError:
@@ -477,17 +292,10 @@ class TreeShapExplainer:
         members = getattr(model, "estimators_", [model])
         self._n_features = max((member.n_features_ for member in members),
                               default=None)
-        # Hoisted init-time precompute: the ensemble expected value used
-        # to be recomputed by full recursion on every explain call.
-        base = sum(
-            weight * _tree_base_value(tree, ci)
-            for tree, weight, ci in self._components
-        )
-        if isinstance(model, (GradientBoostingClassifier,
-                              GradientBoostingRegressor)):
-            base += model.init_raw_
-        self._expected_value = float(base)
-        self._precompute: TreePrecompute | None = None
+        offset = (model.init_raw_ if isinstance(
+            model, (GradientBoostingClassifier, GradientBoostingRegressor)
+        ) else 0.0)
+        self._precompute = tree_precompute(model, self._components, offset)
 
     @staticmethod
     def _decompose(model) -> list[tuple[TreeStructure, float, int | None]]:
@@ -517,23 +325,13 @@ class TreeShapExplainer:
 
     @property
     def expected_value(self) -> float:
-        """Base value: the ensemble's cover-weighted expected output.
-
-        Computed once at construction (it is a pure function of the
-        fitted trees), not re-derived per explanation.
-        """
-        return self._expected_value
+        """Base value: the ensemble's cover-weighted expected output,
+        read from the path table when the explainer is built."""
+        return self._precompute.expected_value
 
     def precompute(self) -> TreePrecompute:
-        """This model's shared :class:`TreePrecompute`, built lazily."""
-        if self._precompute is None:
-            self._precompute = tree_precompute(
-                self.model, self._components, self._expected_value
-            )
+        """This model's shared :class:`TreePrecompute`."""
         return self._precompute
-
-    def _model_output(self, x: np.ndarray) -> float:
-        return float(self._model_output_batch(x[None, :])[0])
 
     def _model_output_batch(self, X: np.ndarray) -> np.ndarray:
         if isinstance(self.model, GradientBoostingClassifier):
@@ -543,31 +341,33 @@ class TreeShapExplainer:
             return np.asarray(self.model.predict(X), dtype=float)
         return np.asarray(self.model.predict_proba(X)[:, -1], dtype=float)
 
+    def _explain_rows(self, X: np.ndarray, feature_names: list[str] | None
+                      ) -> list[FeatureAttribution]:
+        phi = self._precompute.shap_values(X)
+        preds = self._model_output_batch(X)
+        names = feature_names or [f"x{i}" for i in range(X.shape[1])]
+        return [
+            FeatureAttribution(
+                values=phi[r],
+                feature_names=names,
+                base_value=self.expected_value,
+                prediction=float(preds[r]),
+                method=self.method_name,
+                meta={"n_trees": len(self._components)},
+            )
+            for r in range(X.shape[0])
+        ]
+
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
-        """One instance through the scalar per-tree recursion.
+        """One instance through the path-table kernel.
 
-        Single rows deliberately stay on the scalar kernel: the
-        vectorized batch kernel pays numpy per-node overhead that only
-        amortizes across many rows (it is ~8× slower at ``n_rows=1``).
-        Batches go through :meth:`explain_batch` for the fused path.
-        An instance of the wrong width, with no entries or with a
-        non-finite entry raises :class:`InputValidationError`.
+        The same kernel as :meth:`explain_batch`, on one row, so the two
+        agree bitwise. An instance of the wrong width, with no entries
+        or with a non-finite entry raises :class:`InputValidationError`.
         """
         x = check_instance(x, self._n_features)
-        n = x.shape[0]
-        phi = np.zeros(n)
-        for tree, weight, class_index in self._components:
-            phi += weight * tree_shap_values(tree, x, n, class_index)
-        names = feature_names or [f"x{i}" for i in range(n)]
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=self.expected_value,
-            prediction=self._model_output(x),
-            method=self.method_name,
-            meta={"n_trees": len(self._components)},
-        )
+        return self._explain_rows(x[None, :], feature_names)[0]
 
     def explain_batch(
         self,
@@ -577,25 +377,20 @@ class TreeShapExplainer:
         n_procs: int | None = None,
         return_errors: bool = False,
     ) -> list[FeatureAttribution] | tuple[list, list]:
-        """Explain every row through one fused traversal per tree.
+        """Explain every row through one pass of the path-table kernel.
 
-        The precompute is built (or fetched) once; each component tree
-        is then walked a single time with vectorized path state, so the
-        per-row marginal cost is the O(depth²) leaf bookkeeping rather
-        than a full recursion. ``backend="process"``/``"thread"``
-        shards contiguous row ranges — the precompute ships to forked
-        workers once via copy-on-write, not per shard. Results are
-        bitwise-identical across backends and batch splits (the kernel
-        is elementwise per row); against per-row ``explain`` they agree
-        to float accumulation order (the fused kernel visits children
-        left-then-right, the scalar recursion hot-child-first).
+        ``backend="process"``/``"thread"`` shards contiguous row ranges —
+        the precompute ships to forked workers once via copy-on-write,
+        not per shard. A row's values do not depend on the rows beside
+        it, so results are bitwise-identical to per-row :meth:`explain`
+        and across backends and batch splits.
 
         Failures follow the base ``explain_batch`` contract: a row that
         ``explain`` would refuse fails alone as a
         :class:`repro.robust.BatchRowError` before the kernel runs, the
-        other rows stay fused (bitwise what the batch without the bad
-        rows gives), and ``return_errors`` chooses between
-        ``(results, errors)`` and :class:`repro.robust.PartialBatchError`.
+        other rows keep their values, and ``return_errors`` chooses
+        between ``(results, errors)`` and
+        :class:`repro.robust.PartialBatchError`.
         """
         X = batch_matrix(X)
         backend_name = resolve_backend(backend)
@@ -605,33 +400,17 @@ class TreeShapExplainer:
         outcomes, keep = screen_rows(X, self._n_features)
         if keep.size:
             rows = X if keep.size == X.shape[0] else X[keep]
-            results = self._explain_fused(rows, feature_names, backend_name,
-                                          n_procs)
+            results = self._explain_sharded(rows, feature_names,
+                                            backend_name, n_procs)
             for i, result in zip(keep, results):
                 outcomes[i] = (result, None)
         return finish_batch(outcomes, return_errors)
 
-    def _explain_fused(self, X, feature_names, backend_name, n_procs
-                       ) -> list[FeatureAttribution]:
-        pre = self.precompute()
-        names = feature_names or [f"x{i}" for i in range(X.shape[1])]
-        n_trees = len(self._components)
-
+    def _explain_sharded(self, X, feature_names, backend_name, n_procs
+                         ) -> list[FeatureAttribution]:
         def run_rows(bounds):
             lo, hi = bounds
-            phi = pre.shap_values(X[lo:hi])
-            preds = self._model_output_batch(X[lo:hi])
-            return [
-                FeatureAttribution(
-                    values=phi[r],
-                    feature_names=names,
-                    base_value=self._expected_value,
-                    prediction=float(preds[r]),
-                    method=self.method_name,
-                    meta={"n_trees": n_trees},
-                )
-                for r in range(hi - lo)
-            ]
+            return self._explain_rows(X[lo:hi], feature_names)
 
         n_rows = X.shape[0]
         if backend_name == "serial" or n_rows < 2:
@@ -662,16 +441,10 @@ class TreeShapExplainer:
             masks = np.atleast_2d(masks)
             out = np.zeros(masks.shape[0])
             for row, mask in enumerate(masks):
-                total = sum(
+                out[row] = self._precompute.offset + sum(
                     weight * tree_expected_value(tree, x, mask, ci)
                     for tree, weight, ci in self._components
                 )
-                if isinstance(
-                    self.model,
-                    (GradientBoostingClassifier, GradientBoostingRegressor),
-                ):
-                    total += self.model.init_raw_
-                out[row] = total
             return out
 
         return v

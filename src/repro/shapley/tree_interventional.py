@@ -22,116 +22,82 @@ value of that reachability indicator is
 
 so each leaf contributes its value times these weights — summed over
 leaves and averaged over the background.
+
+The kernel reads the same leaf-path table as path-dependent TreeSHAP
+(:class:`~repro.shapley.tree.TreePrecompute`): a path feature's
+conditions hold for a value v exactly when ``lo < v <= hi``, so per
+k-group one set of array operations over (background rows × paths × k)
+finds every pair's A, B and dead paths (Laberge & Pequignot,
+"Understanding Interventional TreeSHAP: How and Why It Works", 2022).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from ..core.explanation import FeatureAttribution
 from ..obs import instrument_explainer
-from ..models.tree import TreeLists, TreeStructure
 from ..robust.guard import check_instance
-from .tree import TreeShapExplainer, _leaf_scalar
+from .tree import TreePrecompute, TreeShapExplainer, row_blocks
 
-__all__ = ["interventional_tree_shap", "InterventionalTreeShapExplainer"]
-
-
-def _leaf_paths(tree: TreeLists):
-    """Yield ``(leaf, conditions)`` with per-feature condition lists.
-
-    Each condition is ``(threshold, went_left)``: satisfied by value v
-    iff ``v <= threshold`` when left else ``v > threshold``.
-    """
-    out = []
-
-    def walk(node: int, conditions: dict[int, list[tuple[float, bool]]]):
-        if tree.is_leaf(node):
-            out.append((node, {k: list(v) for k, v in conditions.items()}))
-            return
-        feature = tree.feature[node]
-        threshold = tree.threshold[node]
-        conditions.setdefault(feature, []).append((threshold, True))
-        walk(tree.children_left[node], conditions)
-        conditions[feature][-1] = (threshold, False)
-        walk(tree.children_right[node], conditions)
-        conditions[feature].pop()
-        if not conditions[feature]:
-            del conditions[feature]
-
-    walk(0, {})
-    return out
+__all__ = ["InterventionalTreeShapExplainer"]
 
 
-def _satisfies(value: float, conditions: list[tuple[float, bool]]) -> bool:
-    return all(
-        (value <= threshold) if went_left else (value > threshold)
-        for threshold, went_left in conditions
-    )
+@lru_cache(maxsize=None)
+def _shapley_weights(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a−1)!·b!/(a+b)!`` and ``a!·(b−1)!/(a+b)!`` indexed ``[a, b]``
+    for a + b ≤ k; 0 where a (resp. b) is 0. Shared, so read-only."""
+    w_x, w_z = np.zeros((k + 1, k + 1)), np.zeros((k + 1, k + 1))
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            total = factorial(a + b)
+            if a:
+                w_x[a, b] = factorial(a - 1) * factorial(b) / total
+            if b:
+                w_z[a, b] = factorial(a) * factorial(b - 1) / total
+    w_x.flags.writeable = w_z.flags.writeable = False
+    return w_x, w_z
 
 
-def interventional_tree_shap(
-    tree: TreeStructure,
-    x: np.ndarray,
-    background: np.ndarray,
-    n_features: int,
-    class_index: int | None = None,
-) -> tuple[np.ndarray, float]:
+def _interventional_values(pre: TreePrecompute, x: np.ndarray,
+                           background: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact Shapley values of the marginal game; returns ``(phi, base)``.
 
-    ``base`` is the mean tree output over the background (v(∅)).
+    ``base`` is the mean model output over the background (v(∅)).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    tree = tree.as_lists()
-    paths = _leaf_paths(tree)
-    phi = np.zeros(n_features)
+    phi = np.zeros(x.shape[0])
     base = 0.0
-    for z in background:
-        for leaf, conditions in paths:
-            value = _leaf_scalar(tree, leaf, class_index)
-            x_only, z_only = [], []
-            dead = False
-            for feature, terms in conditions.items():
-                x_ok = _satisfies(x[feature], terms)
-                z_ok = _satisfies(z[feature], terms)
-                if x_ok and not z_ok:
-                    x_only.append(feature)
-                elif z_ok and not x_ok:
-                    z_only.append(feature)
-                elif not x_ok and not z_ok:
-                    dead = True
-                    break
-            if dead:
-                continue
-            a, b = len(x_only), len(z_only)
-            if a == 0:
-                base += value  # reachable with the empty coalition
-            if a + b == 0:
-                continue  # constant contribution, no attribution
-            total = factorial(a + b)
-            if a > 0:
-                weight = factorial(a - 1) * factorial(b) / total
-                for feature in x_only:
-                    phi[feature] += value * weight
-            if b > 0:
-                weight = factorial(a) * factorial(b - 1) / total
-                for feature in z_only:
-                    phi[feature] -= value * weight
+    for group in pre.groups:
+        lo, hi = group.lo[..., None], group.hi[..., None]
+        xs = x[group.feature][..., None]
+        x_ok = (lo < xs) & (xs <= hi)  # (slot, path, 1)
+        w_x, w_z = _shapley_weights(group.feature.shape[0])
+        for start, stop in row_blocks(background.shape[0], group):
+            zs = background[start:stop].T[group.feature]
+            z_ok = (lo < zs) & (zs <= hi)  # (slot, path, background row)
+            only_x, only_z = x_ok & ~z_ok, z_ok & ~x_ok
+            a, b = only_x.sum(axis=0), only_z.sum(axis=0)
+            value = np.where((x_ok | z_ok).all(axis=0),
+                             group.value[:, None], 0.0)
+            base += float(value[a == 0].sum())
+            terms = value * (only_x * w_x[a, b] - only_z * w_z[a, b])
+            keys = np.broadcast_to(group.feature[..., None], terms.shape)
+            phi += np.bincount(keys.ravel(), terms.ravel(),
+                               minlength=phi.shape[0])
     n_background = background.shape[0]
-    return phi / n_background, base / n_background
+    return phi / n_background, pre.offset + base / n_background
 
 
 @instrument_explainer
 class InterventionalTreeShapExplainer:
     """Background-based exact SHAP for any tree model in the library.
 
-    Same ensemble decomposition as :class:`TreeShapExplainer`; the games
-    add across trees, so per-tree values are combined with the ensemble
-    weights.
+    Same ensemble decomposition and path table as
+    :class:`TreeShapExplainer`, built when the explainer is; the games
+    add across trees, so each path's value carries its tree's weight.
     """
 
     method_name = "interventional_tree_shap"
@@ -150,29 +116,15 @@ class InterventionalTreeShapExplainer:
     def explain(self, x: np.ndarray, feature_names: list[str] | None = None
                 ) -> FeatureAttribution:
         x = check_instance(x, self._delegate._n_features)
-        n = x.shape[0]
-        phi = np.zeros(n)
-        base = 0.0
-        for tree, weight, class_index in self._delegate._components:
-            tree_phi, tree_base = interventional_tree_shap(
-                tree, x, self.background, n, class_index
-            )
-            phi += weight * tree_phi
-            base += weight * tree_base
-        from ..models.boosting import (
-            GradientBoostingClassifier,
-            GradientBoostingRegressor,
+        phi, base = _interventional_values(
+            self._delegate.precompute(), x, self.background
         )
-
-        if isinstance(self.model,
-                      (GradientBoostingClassifier, GradientBoostingRegressor)):
-            base += self.model.init_raw_
-        names = feature_names or [f"x{i}" for i in range(n)]
+        names = feature_names or [f"x{i}" for i in range(x.shape[0])]
         return FeatureAttribution(
             values=phi,
             feature_names=names,
             base_value=base,
-            prediction=self._delegate._model_output(x),
+            prediction=float(self._delegate._model_output_batch(x[None, :])[0]),
             method=self.method_name,
             meta={"n_background": self.background.shape[0]},
         )

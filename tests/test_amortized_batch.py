@@ -9,9 +9,9 @@ performance change —
   **bitwise identical** to the serial per-row ``explain`` loop at equal
   seeds, on every execution backend, also when rows × background
   exceed ``max_batch_rows`` (no predict call ever does);
-* the fused TreeSHAP kernel is bitwise stable across backends and batch
-  splits, and agrees with the scalar recursion to float accumulation
-  order;
+* TreeSHAP runs one path-table kernel: ``explain`` is bitwise that
+  kernel on one row, and rows are bitwise stable across backends and
+  batch splits;
 * guard budgets keep their per-row semantics by skipping the fused
   call, and a failure inside it degrades to the loop while counting
   ``coalition.plan.fallbacks``;
@@ -28,6 +28,14 @@ import pytest
 
 from repro import obs
 from repro.core.coalition_engine import CoalitionEngine
+from repro.datasets import make_classification
+from repro.models import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    GradientBoostingClassifier,
+    GradientBoostingRegressor,
+    RandomForestClassifier,
+)
 from repro.robust import GuardConfig, InputValidationError, PartialBatchError
 from repro.shapley import (
     ConditionalShapExplainer,
@@ -303,23 +311,42 @@ class TestTreeBatch:
             )
         assert _batch_span().attrs["amortized"] is True
 
-    def test_fused_agrees_with_scalar_recursion(self, loan_split, loan_gbm):
-        Xtr, __, __, __ = loan_split
-        X = Xtr[:8]
-        explainer = TreeShapExplainer(loan_gbm)
-        batch = explainer.explain_batch(X)
-        for x, att in zip(X, batch):
-            scalar = explainer.explain(x)
-            # Different child-visit order: equal to accumulation order,
-            # not necessarily to the last ulp.
-            assert np.allclose(att.values, scalar.values, atol=1e-9)
-            assert att.base_value == scalar.base_value
+    @pytest.mark.parametrize("kind", (
+        "tree_classifier", "tree_regressor", "forest", "gbm_classifier",
+        "gbm_regressor",
+    ))
+    def test_explain_is_the_batch_kernel_on_one_row(self, kind):
+        data = make_classification(240, n_features=6, seed=21)
+        y_real = data.X[:, 0] - 0.5 * data.X[:, 2]
+        model = {
+            "tree_classifier": lambda: DecisionTreeClassifier(
+                max_depth=6, seed=0).fit(data.X, data.y),
+            "tree_regressor": lambda: DecisionTreeRegressor(
+                max_depth=6, seed=0).fit(data.X, y_real),
+            "forest": lambda: RandomForestClassifier(
+                n_estimators=6, max_depth=5, seed=0).fit(data.X, data.y),
+            "gbm_classifier": lambda: GradientBoostingClassifier(
+                n_estimators=8, max_depth=3, seed=0).fit(data.X, data.y),
+            "gbm_regressor": lambda: GradientBoostingRegressor(
+                n_estimators=8, max_depth=3, seed=0).fit(data.X, y_real),
+        }[kind]()
+        explainer = TreeShapExplainer(model)
+        X = data.X[:23]
+        singles = [explainer.explain(x) for x in X]
+        for size in (1, 7, X.shape[0]):
+            batch = [att for lo in range(0, X.shape[0], size)
+                     for att in explainer.explain_batch(X[lo:lo + size])]
+            for single, att in zip(singles, batch):
+                assert np.array_equal(single.values, att.values)
+                assert single.prediction == att.prediction
+                assert single.base_value == att.base_value
 
     # sha256 of TreePrecompute.shap_values' float64 bytes on the loan
-    # GBM, frozen from the list-copying _TreeArrays that now reads the
-    # model's arrays: the fused kernel's bits must not move.
+    # GBM, frozen from the path-table kernel (the recursive kernel it
+    # replaced read cceae129…865eb4; max |difference| 8.9e-16): the
+    # kernel's bits must not drift.
     FROZEN_FUSED = (
-        "cceae129e4115f6591a87ca8974045697a063da0245b3819dd9199ad3b865eb4"
+        "5fa374fc240e71e457ba1ed3ba983dcca38f06bdb2e58affdec5badbeeeebaaf"
     )
 
     def test_fused_values_match_frozen_bits(self, loan_split, loan_gbm):

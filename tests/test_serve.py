@@ -656,6 +656,17 @@ def test_stop_ends_kept_alive_connections():
         conn.close()
 
 
+def test_stop_returns_promptly():
+    # The accept loop wakes every POLL_S to notice stop(); at
+    # serve_forever's default 0.5 s interval each stop() took ~0.45 s.
+    server = _server(StubModel())
+    server.start()
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.25
+    assert server.address() is None
+
+
 def test_a_client_reset_between_requests_is_counted_not_printed(capsys):
     server = _server(StubModel())
     host, port = server.start()
