@@ -21,6 +21,7 @@ from repro.shapley import (
     kernel_shap,
     permutation_shapley,
 )
+from tests.oracles import legacy_value_function
 
 from conftest import emit, fmt_row
 
@@ -44,9 +45,9 @@ def test_e37_engine_speedup(loan_setup):
     # The legacy side: the pre-engine value function (loop expansion,
     # one unchunked call, no cache) over the explainers' own background
     # subsample, fed to the same estimators.
-    legacy_v = CoalitionEngine(
-        data.X, max_background=100
-    ).legacy_value_function(as_predict_fn(gbm), x)
+    legacy_v = legacy_value_function(
+        CoalitionEngine(data.X, max_background=100), as_predict_fn(gbm), x
+    )
 
     phi_legacy, wall_legacy, rows_legacy = _timed(
         lambda: permutation_shapley(

@@ -16,10 +16,11 @@ import numpy as np
 
 from repro import obs
 from repro.datasets import make_classification
-from repro.datavalue import UtilityFunction, legacy_tmc_shapley, tmc_shapley
+from repro.datavalue import UtilityFunction, tmc_shapley
 from repro.db import Relation, shapley_of_tuples
 from repro.models import LogisticRegression
 from repro.models.model_selection import train_test_split
+from tests.oracles import legacy_shapley_of_tuples, legacy_tmc_shapley
 
 from conftest import emit, fmt_row
 
@@ -115,15 +116,15 @@ def test_e39_games_layer():
     # shared evaluator's packed-bit coalition cache (10 endogenous
     # tuples, 400 walks → sub-databases repeat constantly).
     relation = make_sales(10, seed=10)
-    uncached, t_uncached = _timed(lambda: shapley_of_tuples(
+    uncached, t_uncached = _timed(lambda: legacy_shapley_of_tuples(
         relation, skewed_total, method="sampling",
-        n_permutations=400, seed=0, engine=False,
+        n_permutations=400, seed=0,
     ))
     hits0 = obs.counter("coalition.cache.hits").value
     misses0 = obs.counter("coalition.cache.misses").value
     cached, t_cached = _timed(lambda: shapley_of_tuples(
         relation, skewed_total, method="sampling",
-        n_permutations=400, seed=0, engine=True,
+        n_permutations=400, seed=0,
     ))
     hits = obs.counter("coalition.cache.hits").value - hits0
     misses = obs.counter("coalition.cache.misses").value - misses0

@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.persist import dumps, loads, to_envelope
 from repro.shapley import SamplingShapleyExplainer, TreeShapExplainer
 
 from conftest import emit, fmt_row
@@ -34,6 +35,7 @@ from conftest import emit, fmt_row
 N_PERMUTATIONS = 100
 BATCH_SAMPLING = 32
 BATCH_TREE = 256
+N_BUILDS = 5
 
 
 def test_e42_amortized_batch(loan_setup):
@@ -69,10 +71,17 @@ def test_e42_amortized_batch(loan_setup):
     # -- TreeSHAP: one kernel over the path table, batch vs per row -------
     X_tree = data.X[:BATCH_TREE]
 
-    # The explainer builds (or fetches) the model's path table.
-    t0 = time.perf_counter()
-    tree_explainer = TreeShapExplainer(gbm)
-    precompute_s = time.perf_counter() - t0
+    # The explainer builds the model's path table. The table is stored
+    # per model object, and earlier benchmarks in the same pytest run
+    # explain this GBM, so the build is timed on persisted copies that
+    # no explainer has seen (the median of N_BUILDS, one build each).
+    builds = []
+    for __ in range(N_BUILDS):
+        fresh_gbm = loads(dumps(to_envelope(gbm)))
+        t0 = time.perf_counter()
+        tree_explainer = TreeShapExplainer(fresh_gbm)
+        builds.append(time.perf_counter() - t0)
+    precompute_s = float(np.median(builds))
 
     t0 = time.perf_counter()
     tree_batch = tree_explainer.explain_batch(X_tree, backend="serial")
@@ -91,6 +100,11 @@ def test_e42_amortized_batch(loan_setup):
     rerun = tree_explainer.explain_batch(X_tree, backend="thread")
     assert np.array_equal(
         batch_values, np.stack([a.values for a in rerun])
+    )
+    # The copy explains exactly as the original model does.
+    original = TreeShapExplainer(gbm).explain_batch(X_tree, backend="serial")
+    assert np.array_equal(
+        batch_values, np.stack([a.values for a in original])
     )
     tree_speedup = wall_tree_serial / wall_tree_batch
 

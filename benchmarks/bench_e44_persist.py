@@ -10,7 +10,7 @@ cache hits. Three headline numbers:
 * **registry load latency** — ``ArtifactRegistry.get`` end to end
   (manifest lookup, content-addressed object read, envelope decode);
   what a serve version bump pays before the endpoint swaps models.
-* **pre-warm speedup** (floor: ≥2× in ``bench_compare.FLOORS``) —
+* **pre-warm speedup** (floor: ≥2×, asserted after the table) —
   evaluating one instance's coalition mask set against a GBM, cold
   cache vs a cache pre-warmed from a ``REPRO_CACHE_SNAPSHOT`` file
   written by the previous run. The warm path answers from the snapshot
@@ -131,3 +131,7 @@ def test_e44_persist(loan_setup, tmp_path):
             "prewarm_speedup": prewarm_speedup,
         },
     )
+
+    # The floor: a snapshot-warmed repeat at least 2x faster than the
+    # cold run (in practice orders of magnitude: zero model rows).
+    assert prewarm_speedup >= 2.0

@@ -98,8 +98,8 @@ def emit(experiment: str, lines: list[str], data=None, summary=None) -> None:
     table (any JSON-serializable value); it lands verbatim in the
     experiment's ``.json`` record. ``summary`` optionally adds flat
     headline numbers (e.g. speedup ratios) to the experiment's
-    ``BENCH_summary.json`` entry, where ``scripts/bench_compare.py``
-    floors can guard them.
+    ``BENCH_summary.json`` entry; a benchmark asserts its own floors
+    on them.
     """
     banner = f"==== {experiment} ===="
     print()

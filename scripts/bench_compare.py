@@ -26,12 +26,10 @@ backend), E41 (telemetry overhead), E42 (amortized batch explanation),
 E43 (the explanation service under load), E44 (persist round-trips) and
 E45 (indexed provenance queries).
 
-Beyond wall-time ratios against the baseline, the guard also enforces
-**absolute speedup floors** (``FLOORS``) on headline ratios the
-benchmarks publish into their summary entries: E42's amortized batch
-paths must stay ≥3× their per-row loops regardless of what the baseline
-recorded — an eroding speedup is a regression even when wall time drifts
-slowly enough to duck the relative check.
+Headline speedup floors are not checked here: each benchmark asserts
+its own floor on the ratio it has just measured (E42, E43, E44, E45),
+so a shortfall fails that benchmark run, not a later guard run that
+reads the summary it left behind.
 
 Exit status 0 when clean, 1 with a listing otherwise. Enforced in tier-1
 via ``tests/test_obs_lint_and_bench.py``, alongside ``check_no_print.py``.
@@ -69,35 +67,13 @@ TOLERANCES: dict = {
     "E41_telemetry_overhead": {"min_delta_s": 1.0},
     "E42_amortized_batch": {"min_delta_s": 1.0},
     # Thread-scheduling latency under deliberate contention is noisy;
-    # the load-bearing checks are the FLOORS ratios below.
+    # the load-bearing checks are E43's own floor assertions.
     "E43_serve_load": {"min_delta_s": 1.0, "min_delta_p95_ms": 1000.0},
     "E44_persist": {"min_delta_s": 1.0},
     "E45_indexed_provenance": {"min_delta_s": 1.0},
 }
 GUARDED_EXPERIMENTS = tuple(TOLERANCES)
 
-# Absolute floors on headline ratios published by the benchmarks into
-# BENCH_summary.json (via conftest emit(summary=...)). Checked on the
-# fresh summary only — no baseline needed — and skipped when the
-# experiment (or the key) was not freshly run.
-FLOORS: dict = {
-    "E42_amortized_batch": {"sampling_speedup": 3.0, "tree_speedup": 3.0},
-    # The serve layer's headline guarantees: hot-key p95 must stay ≥5×
-    # better with coalescing+cache than without, and every request at
-    # 4× overload must resolve (1.0 = zero hung requests).
-    "E43_serve_load": {
-        "hot_key_p95_improvement": 5.0,
-        "overload_resolved_fraction": 1.0,
-    },
-    # A coalition-cache snapshot must make the repeat evaluation at
-    # least 2× faster than the cold run (in practice it is orders of
-    # magnitude: every mask answers from the snapshot, zero model rows).
-    "E44_persist": {"prewarm_speedup": 2.0},
-    # Interval-encoded lineage-support queries must stay ≥10× faster
-    # than the naive per-root DAG walks at the largest scale (10^5 base
-    # tuples; in practice the gap is three orders of magnitude).
-    "E45_indexed_provenance": {"indexed_speedup": 10.0},
-}
 MAX_REGRESSION = 0.25
 MIN_DELTA_S = 0.75
 P95_MAX_REGRESSION = 0.50
@@ -167,27 +143,6 @@ def regressions(
     return found
 
 
-def floor_shortfalls(fresh: dict, floors: dict | None = None) -> list[str]:
-    """Headline ratios that fell below their absolute floor.
-
-    Floors bind whenever the experiment was freshly run and recorded the
-    keyed ratio; a missing experiment or key is skipped (the benchmarks
-    are not part of tier-1), so this degrades exactly like the relative
-    guard on checkouts that never ran the suite.
-    """
-    found: list[str] = []
-    for experiment, keys in sorted((floors or FLOORS).items()):
-        entry = fresh.get(experiment) or {}
-        for key, floor in sorted(keys.items()):
-            value = entry.get(key)
-            if value is not None and value < floor:
-                found.append(
-                    f"{experiment}: {key} {value:.2f} below the "
-                    f"{floor:.1f}x floor"
-                )
-    return found
-
-
 def missing_baselines(baseline: dict, fresh: dict,
                       experiments=GUARDED_EXPERIMENTS) -> list[str]:
     """Guarded experiments with fresh timings but no committed baseline.
@@ -231,7 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         max_regression=args.max_regression,
         min_delta_s=args.min_delta_s,
     )
-    found.extend(floor_shortfalls(fresh))
     if found:
         sys.stderr.write(
             "benchmark wall-time regressions vs committed baseline "

@@ -322,8 +322,10 @@ def check_bespoke_shapley(src: Source):
     permuting rows for a baseline) do not accumulate per-player marginals
     and pass. ``src/repro/games/estimators.py`` is exempt: that is where
     the one walk scheduler lives, and the only file of ``repro.games``
-    that draws a permutation. Marker: the ``.permutation(...)`` line,
-    for retained ``legacy_*`` parity implementations.
+    that draws a permutation. Marker: the ``.permutation(...)`` line, for
+    a walk loop the games layer cannot serve; the library has none (the
+    pre-games reference loops live in ``tests/oracles/``, outside the
+    rule's scope).
     """
     if not _has_method_call(src, "permutation"):
         return []
@@ -493,30 +495,22 @@ def check_db_scans(src: Source):
     ``<something>.rows`` attribute is an offence, including scans wrapped
     in ``enumerate``/``zip``/``sorted``/``reversed``/``range(len(...))``.
     Sanctioned escapes: the physical layer itself (``relation.py``,
-    ``index.py``, ``planner.py``), functions named ``legacy_*`` (the
-    naive oracles of the differential tests), and the marker on the loop
-    header or scan line, reserved for loops that are not selections at
-    all (e.g. formatting every row of an already-reduced result).
+    ``index.py``, ``planner.py``) and the marker on the loop header or
+    scan line, reserved for loops that are not selections at all (e.g.
+    formatting every row of an already-reduced result). The naive
+    oracles of the differential tests live in ``tests/oracles/``,
+    outside the rule's scope.
     """
     found: set[tuple[int, str]] = set()
-
-    def visit(node: ast.AST, in_legacy: bool) -> None:
-        if isinstance(node, _DEFS):
-            in_legacy = in_legacy or node.name.startswith("legacy_")
-        elif not in_legacy:
-            for header, line in _row_scan(node):
-                if not src.allowed("db", line, header):
-                    found.add((
-                        line,
-                        "O(n) scan over Relation.rows "
-                        f"(loop at line {header}); route selections and "
-                        "joins through the planner / index layer, or "
-                        "keep the naive path in a legacy_* oracle",
-                    ))
-        for child in ast.iter_child_nodes(node):
-            visit(child, in_legacy)
-
-    visit(src.tree, False)
+    for node in src.nodes:
+        for header, line in _row_scan(node):
+            if not src.allowed("db", line, header):
+                found.add((
+                    line,
+                    "O(n) scan over Relation.rows "
+                    f"(loop at line {header}); route selections and "
+                    "joins through the planner / index layer",
+                ))
     return found
 
 
@@ -713,8 +707,8 @@ RULES = (
     Rule(
         "bespoke-shapley",
         "bespoke Shapley permutation loop found (route it through "
-        "repro.games.permutation_estimator, or mark a retained legacy "
-        "implementation with `# games: allow`)",
+        "repro.games.permutation_estimator, or mark a loop the games "
+        "layer cannot serve with `# games: allow`)",
         check_bespoke_shapley,
         exempt=lambda rel: rel == "src/repro/games/estimators.py",
     ),
@@ -733,8 +727,7 @@ RULES = (
     Rule(
         "db-scans",
         "naive Relation.rows scan found (use the planner / index layer, "
-        "move the loop into a legacy_* oracle, or mark a non-selection loop "
-        "with `# db: allow`)",
+        "or mark a non-selection loop with `# db: allow`)",
         check_db_scans,
         roots=("src/repro/db",),
         exempt=_basename_in("relation.py", "index.py", "planner.py"),

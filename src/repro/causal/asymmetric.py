@@ -14,12 +14,10 @@ one, and any batched ``v(masks)`` works (e.g. the conditional one from
 
 As a game, ASV is a :class:`repro.games.TopologicalGame` — uniform
 permutation Shapley with the sampler restricted to linear extensions of
-the DAG — run through the shared estimator (``engine=True``, the
-default), which adds position-keyed coalition caching: every walk
-re-evaluates ∅ and the short prefixes at the same batch positions, and
-those now cost a dictionary lookup instead of ``n_samples`` SCM draws.
-``engine=False`` keeps the pre-games loop for the parity tests and the
-E39 comparison.
+the DAG — run through the shared estimator, which adds position-keyed
+coalition caching: every walk re-evaluates ∅ and the short prefixes at
+the same batch positions, and those cost a dictionary lookup instead of
+``n_samples`` SCM draws.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from ..games.engine import game_value_function
 from ..games.estimators import permutation_estimator
 from ..obs import instrument_explainer
 from .scm import StructuralCausalModel
-from .values import interventional_value_function
 
 __all__ = ["sample_topological_permutation", "AsymmetricShapleyExplainer"]
 
@@ -65,9 +62,7 @@ class AsymmetricShapleyExplainer:
         feature_order: list[str],
         n_permutations: int = 40,
         n_samples: int = 400,
-        value_function: str = "interventional",
         seed: int = 0,
-        engine: bool = True,
     ) -> None:
         from ..core.base import as_predict_fn
 
@@ -76,13 +71,7 @@ class AsymmetricShapleyExplainer:
         self.feature_order = list(feature_order)
         self.n_permutations = n_permutations
         self.n_samples = n_samples
-        if value_function not in ("interventional",):
-            raise ValueError(
-                "built-in value functions: 'interventional'; pass a custom "
-                "callable via explain(value_fn=...) otherwise"
-            )
         self.seed = seed
-        self.engine = engine
 
     def explain(
         self,
@@ -90,40 +79,9 @@ class AsymmetricShapleyExplainer:
         feature_names: list[str] | None = None,
         value_fn=None,
     ) -> FeatureAttribution:
+        """Attribute ``x``; ``value_fn`` replaces the SCM's interventional
+        value function with any batched ``v(masks)``."""
         x = np.asarray(x, dtype=float).ravel()
-        n = x.shape[0]
-        if self.engine:
-            return self._explain_games(x, feature_names, value_fn)
-        rng = np.random.default_rng(self.seed)
-        if value_fn is None:
-            value_fn = interventional_value_function(
-                self.scm, self.predict_fn, self.feature_order, x,
-                n_samples=self.n_samples, seed=self.seed,
-            )
-        phi = np.zeros(n)
-        for __ in range(self.n_permutations):
-            perm = sample_topological_permutation(
-                self.scm, self.feature_order, rng
-            )
-            masks = np.zeros((n + 1, n), dtype=bool)
-            for pos, player in enumerate(perm):
-                masks[pos + 1] = masks[pos]
-                masks[pos + 1, player] = True
-            values = np.asarray(value_fn(masks), dtype=float)
-            phi[perm] += values[1:] - values[:-1]
-        phi /= self.n_permutations
-        base = float(value_fn(np.zeros((1, n), dtype=bool))[0])
-        names = feature_names or self.feature_order
-        return FeatureAttribution(
-            values=phi,
-            feature_names=names,
-            base_value=base,
-            prediction=float(self.predict_fn(x[None, :])[0]),
-            method=self.method_name,
-            meta={"n_permutations": self.n_permutations},
-        )
-
-    def _explain_games(self, x, feature_names, value_fn) -> FeatureAttribution:
         n = x.shape[0]
         game = TopologicalGame(
             self.scm, self.predict_fn, self.feature_order, x,
@@ -136,8 +94,8 @@ class AsymmetricShapleyExplainer:
             seed=self.seed,
             aggregate="sum_counts",
         )
-        # The interventional value function seeds by batch position, so
-        # the base (∅ at position 0) reproduces the legacy value exactly.
+        # The interventional value function seeds by batch position: ∅
+        # at position 0 is the draw every walk starts from.
         base = float(game_value_function(game)(
             np.zeros((1, n), dtype=bool))[0])
         names = feature_names or self.feature_order

@@ -320,18 +320,12 @@ def main(argv: list[str] | None = None) -> int:
              "cost summary (same as the `trace` subcommand)",
     )
     for row in _GLOBAL_FLAGS:
-        if row.type is bool:  # a switch flag turns its setting off
-            parser.add_argument(
-                row.flag, dest=row.name, action="store_const", const="0",
-                help=f"sets {row.name}=0: {row.doc}",
-            )
-        else:
-            parser.add_argument(
-                row.flag, dest=row.name, type=row.type,
-                choices=row.choices or None,
-                metavar=None if row.choices else row.type.__name__.upper(),
-                help=f"sets {row.name}: {row.doc}",
-            )
+        parser.add_argument(
+            row.flag, dest=row.name, type=row.type,
+            choices=row.choices or None,
+            metavar=None if row.choices else row.type.__name__.upper(),
+            help=f"sets {row.name}: {row.doc}",
+        )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="package inventory")
     sub.add_parser("experiments", help="list experiments E1…")

@@ -99,9 +99,6 @@ class Setting:
 _ROWS = (
     Setting("REPRO_MAX_BATCH_ROWS", int, 65_536, range=(1, None),
             doc="rows per model call before coalition evaluation chunks"),
-    Setting("REPRO_COALITION_CACHE", bool, True, flag="--no-coalition-cache",
-            doc="coalition-value caches of the games evaluator and "
-                "coalition engine; off disables every one"),
     Setting("REPRO_RETRIES", int, 2, flag="--retries",
             doc="retries per model call after a transient failure"),
     Setting("REPRO_BACKOFF", float, 0.05, flag="--backoff",
@@ -120,9 +117,6 @@ _ROWS = (
     Setting("REPRO_N_PROCS", int, None, flag="--n-procs",
             doc="workers for the thread/process/spawn backends; unset or "
                 "-1 is every core"),
-    Setting("REPRO_DB_INDEX", bool, True,
-            "every db index path; off degrades plans to filter scans and "
-            "naive joins (same answers)"),
     Setting("REPRO_DB_INTERVAL_MAX_OCC", int, None,
             "occurrence cap of the interval-encoded provenance index (past "
             "it: IntervalBlowupError, naive walks); unset is "

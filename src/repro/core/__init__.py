@@ -14,7 +14,6 @@ from .coalition_engine import (
     CoalitionValueCache,
     batched_predict,
     broadcast_expand,
-    legacy_expand,
 )
 from .sampling import GaussianPerturber
 
@@ -23,7 +22,6 @@ __all__ = [
     "CoalitionValueCache",
     "batched_predict",
     "broadcast_expand",
-    "legacy_expand",
     "AttributionExplainer",
     "Explainer",
     "as_predict_fn",

@@ -42,12 +42,6 @@ chunk level (``chunk_retries``) when the guard gives up, and failed
 evaluations are **never committed** to the value cache — cache writes
 happen only after a chunk's values come back clean, so a poisoned chunk
 cannot leave corrupt ``v(S)`` entries behind for later calls to reuse.
-
-The pre-engine evaluation path (per-coalition loop expand, one unchunked
-predict call, no cache) is preserved as :func:`legacy_expand` /
-:meth:`CoalitionEngine.legacy_value_function` so E37 can benchmark
-old-vs-new at equal coalition budget and the regression tests can assert
-bitwise-identical expansions.
 """
 
 from __future__ import annotations
@@ -64,7 +58,6 @@ from ..persist.protocol import register_serializable
 
 __all__ = [
     "broadcast_expand",
-    "legacy_expand",
     "batched_predict",
     "block_predict",
     "CoalitionValueCache",
@@ -85,8 +78,8 @@ def broadcast_expand(
     Returns shape ``(n_coalitions * n_background, d)``: for each
     coalition, one copy of every background row with present features
     overwritten by the instance's values. Block layout (all background
-    rows of coalition 0, then coalition 1, …) matches
-    :func:`legacy_expand` exactly.
+    rows of coalition 0, then coalition 1, …) matches the historical
+    per-coalition loop exactly.
     """
     x = np.asarray(x, dtype=float).ravel()
     coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
@@ -94,28 +87,6 @@ def broadcast_expand(
     n_c, d = coalitions.shape
     rows = np.where(coalitions[:, None, :], x[None, None, :], background[None, :, :])
     return rows.reshape(n_c * background.shape[0], d)
-
-
-def legacy_expand(
-    x: np.ndarray, coalitions: np.ndarray, background: np.ndarray
-) -> np.ndarray:
-    """The pre-engine per-coalition expansion loop.
-
-    Kept verbatim-in-behaviour (the chained ``out[block][:, present]``
-    view assignment is replaced by a single-step index) so E37 can time
-    the old path and the regression tests can assert the broadcast path
-    is bitwise identical.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    coalitions = np.atleast_2d(np.asarray(coalitions, dtype=bool))
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    n_c = coalitions.shape[0]
-    n_b = background.shape[0]
-    out = np.tile(background, (n_c, 1))
-    for c in range(n_c):
-        present = coalitions[c]
-        out[c * n_b : (c + 1) * n_b, present] = x[present]
-    return out
 
 
 def batched_predict(
@@ -293,8 +264,8 @@ class CoalitionEngine:
 
     def new_store(self, x: np.ndarray, cache: bool = True
                   ) -> CoalitionValueCache | None:
-        """A fresh value store for instance ``x``; ``None`` when caching is
-        off (``cache=False`` or ``REPRO_COALITION_CACHE=0``).
+        """A fresh value store for instance ``x``; ``None`` under
+        ``cache=False``.
 
         Opt-in pre-warming from a persisted snapshot
         (``REPRO_CACHE_SNAPSHOT``): scope tokens keep foreign snapshots
@@ -302,7 +273,7 @@ class CoalitionEngine:
         for a matrix of instances (a row of values per coalition) is
         never pre-warmed: snapshots hold one instance's values.
         """
-        if not (cache and setting("REPRO_COALITION_CACHE")):
+        if not cache:
             return None
         from ..persist.snapshot import maybe_prewarm, scope_token
         store = CoalitionValueCache()
@@ -357,21 +328,3 @@ class CoalitionEngine:
         return game_value_function(
             FeatureMaskingGame(model_fn, x, engine=self, cache=cache)
         )
-
-    def legacy_value_function(
-        self, model_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-    ):
-        """The pre-engine path: loop expand, one unchunked call, no cache.
-
-        Kept so E37 can compare old-vs-new wall time and model-eval counts
-        at equal coalition budget.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        n_b = self.n_background
-
-        def v(coalitions: np.ndarray) -> np.ndarray:
-            rows = legacy_expand(x, coalitions, self.background)
-            preds = np.asarray(model_fn(rows), dtype=float)
-            return preds.reshape(-1, n_b).mean(axis=1)
-
-        return v

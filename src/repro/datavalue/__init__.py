@@ -1,14 +1,12 @@
 """Training-data valuation (§2.3.1)."""
 
-from .data_shapley import legacy_tmc_shapley, tmc_shapley
+from .data_shapley import tmc_shapley
 from .distributional import (
     beta_shapley,
     beta_weights,
     distributional_shapley,
-    legacy_beta_shapley,
-    legacy_distributional_shapley,
 )
-from .gradient_shapley import gradient_shapley, legacy_gradient_shapley
+from .gradient_shapley import gradient_shapley
 from .knn_shapley import knn_shapley
 from .loo import leave_one_out_values
 from .utility import UtilityFunction
@@ -17,13 +15,9 @@ __all__ = [
     "UtilityFunction",
     "leave_one_out_values",
     "tmc_shapley",
-    "legacy_tmc_shapley",
     "gradient_shapley",
-    "legacy_gradient_shapley",
     "knn_shapley",
     "distributional_shapley",
-    "legacy_distributional_shapley",
     "beta_shapley",
-    "legacy_beta_shapley",
     "beta_weights",
 ]

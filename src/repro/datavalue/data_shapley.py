@@ -11,20 +11,17 @@ paper's key trick, since late marginal contributions are ~0.
 The walk loop lives in the shared estimator suite
 (:func:`repro.games.estimators.permutation_estimator` with
 ``truncation_tolerance`` set and ``aggregate="sum_counts"``), run over a
-:class:`repro.games.DataValueGame`. The pre-games loop is retained as
-:func:`legacy_tmc_shapley` for the seeded-parity tests.
+:class:`repro.games.DataValueGame`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.explanation import DataAttribution
 from ..games.adapters import DataValueGame
 from ..games.estimators import permutation_estimator
 from .utility import UtilityFunction
 
-__all__ = ["tmc_shapley", "legacy_tmc_shapley"]
+__all__ = ["tmc_shapley"]
 
 
 def tmc_shapley(
@@ -77,48 +74,5 @@ def tmc_shapley(
             ),
             "n_utility_evaluations": utility.n_evaluations,
             "convergence": est.diagnostics,
-        },
-    )
-
-
-def legacy_tmc_shapley(
-    utility: UtilityFunction,
-    n_permutations: int = 200,
-    truncation_tolerance: float = 0.01,
-    seed: int = 0,
-) -> DataAttribution:
-    """The pre-games TMC loop, kept for the seeded bitwise-parity tests."""
-    n = utility.n_points
-    rng = np.random.default_rng(seed)
-    full_score = utility.full_score()
-    marginal_sums = np.zeros(n)
-    marginal_counts = np.zeros(n)
-    truncated_at: list[int] = []
-    for __ in range(n_permutations):
-        perm = rng.permutation(n)  # games: allow
-        previous = utility.empty_score
-        prefix: list[int] = []
-        scanned = n
-        for position, point in enumerate(perm):
-            prefix.append(int(point))
-            current = utility(np.asarray(prefix))
-            marginal_sums[point] += current - previous
-            marginal_counts[point] += 1
-            previous = current
-            if abs(full_score - current) < truncation_tolerance:
-                scanned = position + 1
-                break
-        # Truncation assigns zero marginal to the unscanned tail.
-        marginal_counts[perm[scanned:]] += 1
-        truncated_at.append(scanned)
-    values = marginal_sums / np.maximum(marginal_counts, 1)
-    return DataAttribution(
-        values=values,
-        method="tmc_shapley",
-        meta={
-            "full_score": full_score,
-            "n_permutations": n_permutations,
-            "mean_truncation_position": float(np.mean(truncated_at)),
-            "n_utility_evaluations": utility.n_evaluations,
         },
     )

@@ -17,8 +17,7 @@ tutorial's §2.3.1 highlights two follow-ups addressing that:
 Both estimators now run over a :class:`repro.games.DataValueGame`
 through the shared suite (:func:`repro.games.estimators.stratified_estimator`
 and :func:`repro.games.estimators.permutation_estimator` with
-``position_weights``); the pre-games loops are retained as
-``legacy_*`` for the seeded-parity tests.
+``position_weights``).
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from .utility import UtilityFunction
 
 __all__ = [
     "distributional_shapley",
-    "legacy_distributional_shapley",
     "beta_shapley",
-    "legacy_beta_shapley",
     "beta_weights",
 ]
 
@@ -65,31 +62,6 @@ def distributional_shapley(
         max_cardinality=max_cardinality,
         seed=seed,
     )
-
-
-def legacy_distributional_shapley(
-    point_index: int,
-    utility: UtilityFunction,
-    n_draws: int = 100,
-    max_cardinality: int | None = None,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """The pre-games draw loop, kept for the seeded bitwise-parity tests."""
-    n = utility.n_points
-    if not 0 <= point_index < n:
-        raise IndexError(point_index)
-    rng = np.random.default_rng(seed)
-    others = np.array([i for i in range(n) if i != point_index])
-    max_cardinality = max_cardinality or others.size
-    contributions = np.zeros(n_draws)
-    for t in range(n_draws):
-        m = int(rng.integers(0, max_cardinality + 1))
-        subset = rng.choice(others, size=m, replace=False)
-        with_point = np.append(subset, point_index)
-        contributions[t] = utility(with_point) - utility(subset)
-    value = float(contributions.mean())
-    stderr = float(contributions.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
-    return value, stderr
 
 
 def beta_weights(n: int, alpha: float, beta: float) -> np.ndarray:
@@ -148,36 +120,4 @@ def beta_shapley(
             "n_permutations": n_permutations,
             "convergence": est.diagnostics,
         },
-    )
-
-
-def legacy_beta_shapley(
-    utility: UtilityFunction,
-    alpha: float = 16.0,
-    beta: float = 1.0,
-    n_permutations: int = 200,
-    seed: int = 0,
-) -> DataAttribution:
-    """The pre-games weighted loop, kept for the seeded bitwise-parity tests."""
-    n = utility.n_points
-    rng = np.random.default_rng(seed)
-    weights = beta_weights(n, alpha, beta)
-    weighted_sums = np.zeros(n)
-    weight_totals = np.zeros(n)
-    for __ in range(n_permutations):
-        perm = rng.permutation(n)  # games: allow
-        previous = utility.empty_score
-        prefix: list[int] = []
-        for position, point in enumerate(perm):
-            prefix.append(int(point))
-            current = utility(np.asarray(prefix))
-            w = weights[position]
-            weighted_sums[point] += w * (current - previous)
-            weight_totals[point] += w
-            previous = current
-    values = weighted_sums / np.maximum(weight_totals, 1e-12)
-    return DataAttribution(
-        values=values,
-        method=f"beta_shapley({alpha:g},{beta:g})",
-        meta={"alpha": alpha, "beta": beta, "n_permutations": n_permutations},
     )

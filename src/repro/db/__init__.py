@@ -10,7 +10,6 @@ from .bias import (
 from .complaints import (
     Complaint,
     ComplaintDebugger,
-    legacy_scope_from_relation,
     scope_from_relation,
 )
 from .index import (
@@ -42,12 +41,11 @@ from .provenance import (
 from .query_explain import (
     PredicateExplanation,
     explain_aggregate,
-    legacy_explain_aggregate,
 )
 from .repair import FunctionalDependency, greedy_repair, repair_responsibility
 from .relation import Relation
 from .tuple_shapley import shapley_of_tuples
-from .why_not import QueryStep, WhyNotResult, legacy_why_not, why_not
+from .why_not import QueryStep, WhyNotResult, why_not
 
 __all__ = [
     "Relation",
@@ -76,11 +74,9 @@ __all__ = [
     "repair_responsibility",
     "greedy_repair",
     "explain_aggregate",
-    "legacy_explain_aggregate",
     "PredicateExplanation",
     "Complaint",
     "scope_from_relation",
-    "legacy_scope_from_relation",
     "BiasReport",
     "detect_simpsons_paradox",
     "group_difference",
@@ -88,6 +84,5 @@ __all__ = [
     "QueryStep",
     "WhyNotResult",
     "why_not",
-    "legacy_why_not",
     "ComplaintDebugger",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "Complaint",
     "ComplaintDebugger",
     "scope_from_relation",
-    "legacy_scope_from_relation",
 ]
 
 
@@ -45,14 +44,6 @@ def scope_from_relation(relation, predicate) -> np.ndarray:
     """
     mask = np.zeros(len(relation), dtype=bool)
     mask[matching_indices(relation, predicate)] = True
-    return mask
-
-
-def legacy_scope_from_relation(relation, predicate) -> np.ndarray:
-    """Full-scan scope mask — the differential-test oracle."""
-    mask = np.zeros(len(relation), dtype=bool)
-    for i, row in enumerate(relation.rows):
-        mask[i] = bool(predicate(dict(zip(relation.columns, row))))
     return mask
 
 

@@ -42,8 +42,7 @@ that chooses between them and the naive scans.
 Telemetry (``repro.obs`` counters): ``db.index.hits`` / ``misses``
 (index-served vs fallback lookups), ``db.index.builds``,
 ``db.index.maintained`` (incremental updates applied),
-``db.index.invalidations``, and ``db.index.tombstones``. Kill switch:
-``REPRO_DB_INDEX=0`` makes every consumer take the naive path.
+``db.index.invalidations``, and ``db.index.tombstones``.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ __all__ = [
     "IntervalIndex",
     "IntervalBlowupError",
     "LineageSupportIndex",
-    "legacy_descendants",
-    "legacy_ancestors",
-    "legacy_supports",
 ]
 
 _HITS = "db.index.hits"
@@ -733,41 +729,3 @@ class LineageSupportIndex:
 
     def alive(self, base_id) -> bool:
         return bool(self._interval.supports(base_id))
-
-
-# -- naive oracles (kept forever for the differential tests / E45) -------------
-
-
-def legacy_descendants(dag: ProvenanceDAG, node) -> set:
-    """Recursive set-building walk — the pre-index implementation."""
-    out: set = set()
-    stack = list(dag.children(node))
-    while stack:
-        current = stack.pop()
-        if current in out:
-            continue
-        out.add(current)
-        stack.extend(dag.children(current))
-    return out
-
-
-def legacy_ancestors(dag: ProvenanceDAG, node) -> set:
-    """Full walk over parent edges."""
-    out: set = set()
-    stack = list(dag.parents(node))
-    while stack:
-        current = stack.pop()
-        if current in out:
-            continue
-        out.add(current)
-        stack.extend(dag.parents(current))
-    return out
-
-
-def legacy_supports(dag: ProvenanceDAG, base_node) -> list:
-    """O(n) scan: DFS every root's subtree looking for the base tuple."""
-    out: list = []
-    for root in dag.roots():
-        if root == base_node or base_node in legacy_descendants(dag, root):
-            out.append(root)
-    return out

@@ -23,23 +23,20 @@ by a small set of rules, and lowered to a physical plan:
   empty tuple, annotations still combined by ⊗.
 
 Every physical plan is **answer-equivalent to the naive path**: same
-rows, same order, same multiplicities, same semiring annotations.
-:meth:`Query.legacy_execute` runs the unoptimized operator pipeline and
-is kept forever as the differential-test oracle
-(``tests/test_db_index_equivalence.py``), the same pattern the engine
-and batch layers use. ``explain_plan()`` renders the physical tree as
-text; ~8 representative renderings are frozen as goldens
-(``tests/goldens/db_plans.json``).
+rows, same order, same multiplicities, same semiring annotations; the
+differential harness (``tests/test_db_index_equivalence.py``) checks
+every plan against the unoptimized operator pipeline.
+``explain_plan()`` renders the physical tree as text; ~8 representative
+renderings are frozen as goldens (``tests/goldens/db_plans.json``).
 
 Index usage is reported through ``repro.obs`` (``db.index.hits`` /
-``db.index.misses``) and disabled entirely by ``REPRO_DB_INDEX=0``.
+``db.index.misses``).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..config import setting
 from .index import record_hit, record_miss
 from .relation import Relation
 
@@ -392,8 +389,6 @@ def _access_path(relation: Relation, predicate: Predicate):
     """
     conjuncts = _conjuncts(predicate)
     structured = any(c.columns() is not None for c in conjuncts)
-    if not setting("REPRO_DB_INDEX"):
-        return None, None, None, structured
     for at, conjunct in enumerate(conjuncts):  # prefer equality probes
         if isinstance(conjunct, Eq):
             rest = conjuncts[:at] + conjuncts[at + 1:]
@@ -638,7 +633,7 @@ def _lower(node) -> _PhysicalNode:
     left = _lower(node.left)
     if not shared:
         return _CartesianNode(left, _lower(node.right))
-    if isinstance(node.right, _Scan) and setting("REPRO_DB_INDEX"):
+    if isinstance(node.right, _Scan):
         return _IndexJoinNode(left, node.right.relation, shared)
     return _HashJoinNode(left, _lower(node.right), shared)
 
@@ -665,8 +660,7 @@ class Query:
 
     Build with chained ``select`` / ``project`` / ``join`` / ``union``
     (immutable — each returns a new query), then ``execute()`` for the
-    planned result, ``explain_plan()`` for the physical-plan text, or
-    ``legacy_execute()`` for the naive oracle path.
+    planned result or ``explain_plan()`` for the physical-plan text.
     """
 
     def __init__(self, relation: Relation | None = None, *, _root=None
@@ -702,19 +696,3 @@ class Query:
 
     def explain_plan(self) -> str:
         return _render(self.plan())
-
-    def legacy_execute(self) -> Relation:
-        """The unoptimized pipeline — the differential-test oracle."""
-        return self._naive(self._root)
-
-    @classmethod
-    def _naive(cls, node) -> Relation:
-        if isinstance(node, _Scan):
-            return node.relation
-        if isinstance(node, _Select):
-            return cls._naive(node.child).select(node.predicate)
-        if isinstance(node, _Project):
-            return cls._naive(node.child).project(node.columns)
-        if isinstance(node, _Union):
-            return cls._naive(node.left).union(cls._naive(node.right))
-        return cls._naive(node.left).join(cls._naive(node.right))

@@ -17,8 +17,7 @@ Candidates are **structured** planner predicates
 anti-selection of each intervention ("every tuple the predicate does
 *not* remove") runs through the planner's index access paths — a hash
 probe complement or sort-index window per candidate instead of a full
-row scan each. :func:`legacy_explain_aggregate` keeps the naive path as
-the differential-test oracle.
+row scan each.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .relation import Relation
 __all__ = [
     "PredicateExplanation",
     "explain_aggregate",
-    "legacy_explain_aggregate",
 ]
 
 
@@ -125,10 +123,6 @@ def _planned_anti_select(relation: Relation, predicate) -> Relation:
     return Query(relation).select(Not(predicate)).execute()
 
 
-def _naive_anti_select(relation: Relation, predicate) -> Relation:
-    return relation.select(lambda row, p=predicate: not p(row))
-
-
 def explain_aggregate(
     relation: Relation,
     query: Callable[[Relation], float],
@@ -156,25 +150,4 @@ def explain_aggregate(
     return _rank_interventions(
         relation, query, direction, top_k, use_conjunctions, min_tuples,
         normalize, anti_select=_planned_anti_select,
-    )
-
-
-def legacy_explain_aggregate(
-    relation: Relation,
-    query: Callable[[Relation], float],
-    direction: str = "lower",
-    top_k: int = 5,
-    use_conjunctions: bool = False,
-    min_tuples: int = 1,
-    normalize: bool = False,
-) -> list[PredicateExplanation]:
-    """The pre-planner path: every anti-selection is a full row scan.
-
-    Kept forever as the differential-test oracle for
-    :func:`explain_aggregate` (identical candidates, scores, and
-    ordering; only the access path differs).
-    """
-    return _rank_interventions(
-        relation, query, direction, top_k, use_conjunctions, min_tuples,
-        normalize, anti_select=_naive_anti_select,
     )

@@ -22,9 +22,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..config import setting
 from .index import record_hit
 from .relation import Relation
 from .tuple_shapley import shapley_of_tuples
@@ -36,10 +33,9 @@ __all__ = ["FunctionalDependency", "repair_responsibility", "greedy_repair"]
 class FunctionalDependency:
     """An FD ``lhs → rhs`` over attribute names.
 
-    Violation checks group tuples by their LHS key. The main path reads
-    the relation's persistent hash index on the LHS columns (maintained
-    incrementally across ``greedy_repair`` deletions); the original
-    full-scan implementations are kept as ``legacy_*`` oracles.
+    Violation checks group tuples by their LHS key, read from the
+    relation's persistent hash index on the LHS columns (maintained
+    incrementally across ``greedy_repair`` deletions).
     """
 
     lhs: tuple[str, ...]
@@ -55,8 +51,6 @@ class FunctionalDependency:
 
     def violations(self, relation: Relation) -> int:
         """Number of unordered tuple pairs violating the FD."""
-        if not setting("REPRO_DB_INDEX"):
-            return self.legacy_violations(relation)
         rhs_idx = [relation._col(c) for c in self.rhs]
         total = 0
         for __, members in self._key_groups(relation):
@@ -73,8 +67,6 @@ class FunctionalDependency:
 
     def violating_tuples(self, relation: Relation) -> set[int]:
         """Indices of tuples participating in at least one violation."""
-        if not setting("REPRO_DB_INDEX"):
-            return self.legacy_violating_tuples(relation)
         rhs_idx = [relation._col(c) for c in self.rhs]
         out: set[int] = set()
         for __, members in self._key_groups(relation):
@@ -82,43 +74,6 @@ class FunctionalDependency:
                 tuple(relation.rows[i][j] for j in rhs_idx)
                 for i in members
             }
-            if len(distinct) > 1:
-                out.update(members)
-        return out
-
-    def legacy_violations(self, relation: Relation) -> int:
-        """Full-scan violation count — the differential-test oracle."""
-        lhs_idx = [relation._col(c) for c in self.lhs]
-        rhs_idx = [relation._col(c) for c in self.rhs]
-        groups: dict[tuple, dict[tuple, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        for row in relation.rows:
-            key = tuple(row[i] for i in lhs_idx)
-            value = tuple(row[i] for i in rhs_idx)
-            groups[key][value] += 1
-        total = 0
-        for value_counts in groups.values():
-            counts = list(value_counts.values())
-            group_size = sum(counts)
-            same = sum(c * (c - 1) // 2 for c in counts)
-            total += group_size * (group_size - 1) // 2 - same
-        return total
-
-    def legacy_violating_tuples(self, relation: Relation) -> set[int]:
-        """Full-scan violating-tuple set — the differential-test oracle."""
-        lhs_idx = [relation._col(c) for c in self.lhs]
-        rhs_idx = [relation._col(c) for c in self.rhs]
-        by_key: dict[tuple, list[int]] = defaultdict(list)
-        for i, row in enumerate(relation.rows):
-            by_key[tuple(row[j] for j in lhs_idx)].append(i)
-        out: set[int] = set()
-        for members in by_key.values():
-            values = {
-                i: tuple(relation.rows[i][j] for j in rhs_idx)
-                for i in members
-            }
-            distinct = set(values.values())
             if len(distinct) > 1:
                 out.update(members)
         return out
@@ -135,7 +90,6 @@ def repair_responsibility(
     method: str = "auto",
     n_permutations: int = 200,
     seed: int = 0,
-    engine: bool = True,
 ) -> dict[int, float]:
     """Shapley value of each tuple in the inconsistency game.
 
@@ -145,8 +99,8 @@ def repair_responsibility(
     violations. Values sum to the dirty database's violation count.
     Only tuples involved in some violation are endogenous (clean tuples
     provably have value 0 and are fixed as context). The inconsistency
-    game runs through the shared games evaluator (``engine=True``), so
-    repeated sub-databases hit the coalition cache instead of recounting
+    game runs through the shared games evaluator, so repeated
+    sub-databases hit the coalition cache instead of recounting
     violations.
     """
     involved: set[int] = set()
@@ -161,7 +115,6 @@ def repair_responsibility(
         method=method,
         n_permutations=n_permutations,
         seed=seed,
-        engine=engine,
     )
     return values
 

@@ -16,8 +16,7 @@ interval-encoded once, and "does candidate i still support some output"
 becomes a sorted-interval lookup instead of unioning every output
 annotation. Candidate discovery goes through
 :func:`repro.db.planner.matching_indices`, so structured candidate
-predicates hit the relation's indexes. :func:`legacy_why_not` keeps the
-naive path as the differential-test oracle.
+predicates hit the relation's indexes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .planner import matching_indices
 from .provenance import LineageSemiring
 from .relation import Relation
 
-__all__ = ["QueryStep", "WhyNotResult", "why_not", "legacy_why_not"]
+__all__ = ["QueryStep", "WhyNotResult", "why_not"]
 
 
 @dataclass
@@ -148,51 +147,3 @@ def why_not(
     if not candidates:
         raise ValueError("no source tuple matches the candidate description")
     return _trace(source, steps, candidates)
-
-
-def legacy_why_not(
-    source: Relation,
-    steps: list[QueryStep],
-    candidate_predicate: Callable[[dict], bool],
-) -> list[WhyNotResult]:
-    """The pre-index tracer — the differential-test oracle.
-
-    Candidate discovery scans every source row, and each stage's
-    survival set is the union of all output annotations (O(total
-    lineage) per stage). Must agree with :func:`why_not` exactly.
-    """
-    candidates = [
-        i for i, row in enumerate(source.rows)
-        if candidate_predicate(dict(zip(source.columns, row)))
-    ]
-    if not candidates:
-        raise ValueError("no source tuple matches the candidate description")
-    current = _tracked(source)
-    alive: dict[int, bool] = {i: True for i in candidates}
-    results: dict[int, WhyNotResult] = {}
-    for step in steps:
-        nxt = step.apply(current)
-        surviving: set[int] = set()
-        for annotation in nxt.annotations:
-            if annotation:
-                surviving |= set(annotation)
-        for i in candidates:
-            if alive[i] and i not in surviving:
-                alive[i] = False
-                results[i] = WhyNotResult(
-                    candidate_index=i,
-                    candidate=source.rows[i],
-                    picky_step=step.name,
-                    detail=f"lineage lost at operator {step.name!r} "
-                           f"({len(current)} -> {len(nxt)} tuples)",
-                )
-        current = nxt
-    for i in candidates:
-        if alive[i]:
-            results[i] = WhyNotResult(
-                candidate_index=i,
-                candidate=source.rows[i],
-                picky_step=None,
-                detail="its lineage reaches the final result",
-            )
-    return [results[i] for i in candidates]

@@ -9,8 +9,7 @@ games alike; each game's ``value`` computes only its own rows:
 * **packed-bit value caching** via
   :class:`repro.core.coalition_engine.CoalitionValueCache` (counters
   ``coalition.cache.hits`` / ``.misses``), enabled when the game
-  declares itself ``deterministic`` and not disabled globally via
-  ``REPRO_COALITION_CACHE=0``;
+  declares itself ``deterministic``;
 * **memory-bounded chunking**: ``max_batch_rows`` (env
   ``REPRO_MAX_BATCH_ROWS``) divided by the game's
   ``rows_per_coalition`` bounds coalitions per evaluation call;
@@ -288,10 +287,9 @@ def game_value_function(
 ):
     """The game's ``v(coalitions)`` with caching/chunking/budgets applied.
 
-    ``cache=None`` defers to the game's ``deterministic`` flag (and the
-    global ``REPRO_COALITION_CACHE`` kill switch); passing ``True`` for
-    a non-deterministic game is the caller asserting determinism the
-    adapter could not, and passing a
+    ``cache=None`` defers to the game's ``deterministic`` flag; passing
+    ``True`` for a non-deterministic game is the caller asserting
+    determinism the adapter could not, and passing a
     :class:`~repro.core.coalition_engine.CoalitionValueCache` *instance*
     shares that store across value functions — the exec backend uses
     this to seed workers with the parent's cache and merge worker stores
@@ -319,12 +317,11 @@ def game_value_function(
     if cache is None and hasattr(game, "cache"):
         cache = False if game.cache is None else game.cache
     if isinstance(cache, CoalitionValueCache):
-        store = cache if setting("REPRO_COALITION_CACHE") else None
+        store = cache
     else:
         if cache is None:
             cache = getattr(game, "deterministic", False)
-        store = (CoalitionValueCache()
-                 if cache and setting("REPRO_COALITION_CACHE") else None)
+        store = CoalitionValueCache() if cache else None
     if max_batch_rows is None:
         max_batch_rows = getattr(game, "max_batch_rows", None)
     if chunk_retries is None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import setting
 from ..core.base import AttributionExplainer
 from ..core.coalition_engine import (
     CoalitionValueCache,
@@ -72,8 +71,7 @@ class EmpiricalConditionalGame(BaseGame):
             self.x.shape[0] if self.x.ndim == 2 else 1
         )
         self.max_batch_rows = max_batch_rows
-        self.cache = (CoalitionValueCache()
-                      if setting("REPRO_COALITION_CACHE") else None)
+        self.cache = CoalitionValueCache()
 
     def _neighbor_rows(self, mask: np.ndarray) -> np.ndarray:
         """Each instance's k neighbor rows, ``(n_instances * k, d)``."""
@@ -125,9 +123,8 @@ def empirical_conditional_value_function(
 
     Permutation walks re-visit the same prefixes constantly, so repeated
     masks are served from a packed-bit coalition-value cache by default
-    (``v.cache``; ``None`` under ``cache=False`` or
-    ``REPRO_COALITION_CACHE=0``). Fresh masks are evaluated in
-    memory-bounded chunks of ``max_batch_rows`` rows.
+    (``v.cache``; ``None`` under ``cache=False``). Fresh masks are
+    evaluated in memory-bounded chunks of ``max_batch_rows`` rows.
     """
     game = EmpiricalConditionalGame(
         predict_fn, data, x, k=k, max_batch_rows=max_batch_rows

@@ -14,8 +14,7 @@ roughly symmetric games. E2 plots exactly this convergence.
 The walk loop itself lives in the shared estimator suite
 (:func:`repro.games.estimators.permutation_estimator`, ``mean_walks``
 mode) — this module keeps the historical ``(phi, std_err)`` API and the
-explainer on top. The pre-games loop is retained as
-:func:`legacy_permutation_shapley` for the seeded-parity tests.
+explainer on top.
 
 Graceful degradation: when the guarded runtime's deadline or model-query
 budget runs out mid-estimate (:class:`repro.robust.BudgetExceededError`),
@@ -37,12 +36,10 @@ from ..core.coalition_engine import CoalitionEngine
 from ..games.adapters import FeatureMaskingGame
 from ..games.engine import coalition_value
 from ..games.estimators import permutation_estimator
-from ..robust.errors import BudgetExceededError
 from ..robust.guard import budgets_in_force, check_instance
 
 __all__ = [
     "permutation_shapley",
-    "legacy_permutation_shapley",
     "SamplingShapleyExplainer",
 ]
 
@@ -84,56 +81,6 @@ def permutation_shapley(
     if not return_diagnostics:
         return est.values, est.std_err
     return est.values, est.std_err, est.diagnostics
-
-
-def legacy_permutation_shapley(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    n_players: int,
-    n_permutations: int = 100,
-    antithetic: bool = True,
-    seed: int = 0,
-    return_diagnostics: bool = False,
-) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, dict]:
-    """The pre-games walk loop, kept for the seeded bitwise-parity tests."""
-    rng = np.random.default_rng(seed)
-    contributions: list[np.ndarray] = []
-    n_batches = (
-        n_permutations // 2 if antithetic and n_permutations > 1 else n_permutations
-    )
-    walks_per_batch = 2 if antithetic and n_permutations > 1 else 1
-    budget_error: BudgetExceededError | None = None
-    for __ in range(n_batches):
-        perm = rng.permutation(n_players)  # games: allow
-        perms = [perm, perm[::-1]] if antithetic else [perm]
-        try:
-            for p in perms:
-                # One walk through the permutation = n+1 coalition evaluations.
-                masks = np.zeros((n_players + 1, n_players), dtype=bool)
-                for pos, player in enumerate(p):
-                    masks[pos + 1] = masks[pos]
-                    masks[pos + 1, player] = True
-                values = np.asarray(value_fn(masks), dtype=float)
-                contrib = np.zeros(n_players)
-                contrib[p] = values[1:] - values[:-1]
-                contributions.append(contrib)
-        except BudgetExceededError as e:
-            if not contributions:
-                raise
-            budget_error = e
-            break
-    stacked = np.stack(contributions)
-    phi = stacked.mean(axis=0)
-    std_err = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0]) \
-        if stacked.shape[0] > 1 else np.zeros(n_players)
-    if not return_diagnostics:
-        return phi, std_err
-    diagnostics = {
-        "converged": budget_error is None,
-        "n_walks_completed": len(contributions),
-        "n_walks_requested": n_batches * walks_per_batch,
-        "budget_error": None if budget_error is None else str(budget_error),
-    }
-    return phi, std_err, diagnostics
 
 
 class SamplingShapleyExplainer(AttributionExplainer):

@@ -7,9 +7,10 @@ Covers the perf-engine contract end to end:
   hit/miss counters through ``repro.obs.metrics``;
 * chunking bounds rows-per-call without changing results;
 * seeded attributions from kernel SHAP, sampling SHAP and QII are
-  numerically identical between the legacy path and the engine path;
-* the masking, conditional and data-value value functions all obey the
-  ``REPRO_COALITION_CACHE=0`` switch and record the same span geometry;
+  numerically identical between the pre-engine path (``tests.oracles``)
+  and the engine path;
+* the masking, conditional and data-value value functions all obey
+  ``cache=False`` and record the same span geometry;
 * thread-backend ``explain_batch`` matches serial output row-for-row
   and keeps span accounting intact.
 """
@@ -24,12 +25,10 @@ from repro.core.coalition_engine import (
     CoalitionEngine,
     batched_predict,
     broadcast_expand,
-    legacy_expand,
 )
 from repro.games import DataValueGame, game_value_function
 from repro.robust import InputValidationError
 from repro.shapley import (
-    ConditionalShapExplainer,
     KernelShapExplainer,
     SamplingShapleyExplainer,
     shapley_qii,
@@ -39,6 +38,7 @@ from repro.shapley.qii import _resample_features
 from repro.shapley.sampling import permutation_shapley
 from repro.shapley.conditional import empirical_conditional_value_function
 from repro.surrogate import LimeTabularExplainer
+from tests.oracles import legacy_expand, legacy_value_function
 
 
 def _random_setup(seed=0, n_c=40, n_b=17, d=9):
@@ -129,7 +129,7 @@ class TestValueCache:
         engine = CoalitionEngine(background)
         fn = lambda X: np.tanh(X @ np.linspace(-1, 1, X.shape[1]))
         v_new = engine.value_function(fn, x)
-        v_old = engine.legacy_value_function(fn, x)
+        v_old = legacy_value_function(engine, fn, x)
         assert np.array_equal(v_new(coalitions), v_old(coalitions))
 
 
@@ -202,9 +202,10 @@ class TestSeededParity:
         new = KernelShapExplainer(
             loan_model, loan_data.X, n_samples=80, max_background=40, seed=5
         ).explain(x)
-        legacy_v = CoalitionEngine(
-            loan_data.X, max_background=40
-        ).legacy_value_function(as_predict_fn(loan_model), x)
+        legacy_v = legacy_value_function(
+            CoalitionEngine(loan_data.X, max_background=40),
+            as_predict_fn(loan_model), x,
+        )
         old_phi, old_base = kernel_shap(legacy_v, x.shape[0], n_samples=80,
                                         seed=5)
         assert np.array_equal(new.values, old_phi)
@@ -216,9 +217,10 @@ class TestSeededParity:
             loan_model, loan_data.X, n_permutations=12, max_background=30,
             seed=2,
         ).explain(x)
-        legacy_v = CoalitionEngine(
-            loan_data.X, max_background=30
-        ).legacy_value_function(as_predict_fn(loan_model), x)
+        legacy_v = legacy_value_function(
+            CoalitionEngine(loan_data.X, max_background=30),
+            as_predict_fn(loan_model), x,
+        )
         n = x.shape[0]
         old_phi, __ = permutation_shapley(legacy_v, n, n_permutations=12,
                                           seed=2)
@@ -371,7 +373,7 @@ class _CountingUtility:
         return float(len(indices))
 
 
-def _value_fn(kind, max_batch_rows=None):
+def _value_fn(kind, max_batch_rows=None, cache=True):
     """``(v, sizes, rows_per_coalition)`` for one of the three value
     functions; ``sizes`` records the row count of every model call."""
     rng = np.random.default_rng(11)
@@ -386,14 +388,15 @@ def _value_fn(kind, max_batch_rows=None):
 
     if kind == "masking":
         engine = CoalitionEngine(data[:5], max_batch_rows=max_batch_rows)
-        return engine.value_function(predict, x), sizes, 5
+        return engine.value_function(predict, x, cache=cache), sizes, 5
     if kind == "conditional":
         v = empirical_conditional_value_function(
-            predict, data, x, k=4, max_batch_rows=max_batch_rows
+            predict, data, x, k=4, cache=cache, max_batch_rows=max_batch_rows
         )
         return v, sizes, 4
     game = DataValueGame(_CountingUtility(sizes))
-    return game_value_function(game, max_batch_rows=max_batch_rows), sizes, 1
+    v = game_value_function(game, cache=cache, max_batch_rows=max_batch_rows)
+    return v, sizes, 1
 
 
 # Partial masks only: the conditional game evaluates ∅ and N specially.
@@ -406,9 +409,8 @@ _MASKS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1],
 class TestCacheSwitch:
     """Every value function runs through the one games evaluator."""
 
-    def test_switch_disables_the_cache(self, kind, monkeypatch):
-        monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
-        v, sizes, rows_per = _value_fn(kind)
+    def test_switch_disables_the_cache(self, kind):
+        v, sizes, rows_per = _value_fn(kind, cache=False)
         assert v.cache is None
         masks = _MASKS[:3]  # row 2 duplicates row 0
         v(masks)
@@ -416,8 +418,7 @@ class TestCacheSwitch:
         v(masks)
         assert sum(sizes) == 6 * rows_per
 
-    def test_calls_record_chunked_spans(self, kind, monkeypatch):
-        monkeypatch.delenv("REPRO_COALITION_CACHE", raising=False)
+    def test_calls_record_chunked_spans(self, kind):
         max_batch_rows = 12
         v, sizes, rows_per = _value_fn(kind, max_batch_rows)
         assert v.cache is not None
@@ -437,20 +438,3 @@ class TestCacheSwitch:
         assert attrs["cache_misses"] == 0  # the repeat call is all hits
         assert sum(sizes) == 6 * rows_per  # one duplicate, evaluated once
         assert max(sizes) <= max_batch_rows
-
-
-def test_conditional_amortized_batch_without_cache(loan_data, loan_model,
-                                                   monkeypatch):
-    """The fused conditional path seeds v(∅) only when a cache exists."""
-    monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
-    explainer = ConditionalShapExplainer(
-        loan_model, loan_data.X[:60], k=8, n_permutations=4, seed=5
-    )
-    X = loan_data.X[:3]
-    fallbacks = obs.counter("coalition.plan.fallbacks").value
-    batch = explainer.explain_batch(X)
-    assert obs.counter("coalition.plan.fallbacks").value == fallbacks
-    for x, att in zip(X, batch):
-        ref = explainer.explain(x)
-        assert np.array_equal(ref.values, att.values)
-        assert ref.base_value == att.base_value

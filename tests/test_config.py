@@ -5,8 +5,7 @@
   :class:`InputValidationError` naming the variable, and an explicit
   argument beats the environment;
 * the consumers apply it: bad budgets, deadlines and ports fail loudly,
-  ``REPRO_DB_INDEX=false`` switches the indexes off, ``ServeConfig``
-  fields resolve through their rows;
+  ``ServeConfig`` fields resolve through their rows;
 * the CLI: the global flags come from the table, and a bad value exits 2
   with one line only when a command reads it;
 * no module but ``repro.config`` reads ``os.environ``;
@@ -36,14 +35,12 @@ IDS = [row.name for row in ROWS]
 # "unset", where the consumer's documented fallback applies.
 DEFAULTS = {
     "REPRO_MAX_BATCH_ROWS": 65_536,
-    "REPRO_COALITION_CACHE": True,
     "REPRO_RETRIES": 2,
     "REPRO_BACKOFF": 0.05,
     "REPRO_DEADLINE_S": None,
     "REPRO_QUERY_BUDGET": None,
     "REPRO_BACKEND": "serial",
     "REPRO_N_PROCS": None,
-    "REPRO_DB_INDEX": True,
     "REPRO_DB_INTERVAL_MAX_OCC": None,
     "REPRO_CACHE_SNAPSHOT": None,
     "REPRO_REGISTRY_DIR": ".repro_registry",
@@ -101,7 +98,7 @@ def malformed(row) -> list[str]:
 
 
 def test_the_table_has_every_variable_once():
-    assert len(ROWS) == len(SETTINGS) == len(DEFAULTS) == 29
+    assert len(ROWS) == len(SETTINGS) == len(DEFAULTS) == 27
     assert set(SETTINGS) == set(DEFAULTS)
     for row in ROWS:
         assert row.type in (bool, int, float, str)
@@ -182,18 +179,6 @@ def test_non_positive_budgets_still_mean_none(monkeypatch):
         assert (scope.deadline_s, scope.query_budget) == (None, None)
 
 
-def test_db_index_accepts_the_boolean_words(monkeypatch):
-    from repro.db import Eq, Query, Relation, WhySemiring
-
-    relation = Relation(["a", "b"], [(1, 2), (3, 4)], WhySemiring(),
-                        name="r")
-    monkeypatch.setenv("REPRO_DB_INDEX", "false")
-    plan = Query(relation).select(Eq("a", 1)).explain_plan()
-    assert "filter scan" in plan and "index" not in plan
-    monkeypatch.setenv("REPRO_DB_INDEX", "on")
-    assert "index" in Query(relation).select(Eq("a", 1)).explain_plan()
-
-
 def test_serve_config_fields_resolve_through_their_rows(monkeypatch):
     from repro.serve import ServeConfig
 
@@ -233,14 +218,16 @@ def test_cli_global_flags_come_from_the_table(monkeypatch):
     from repro.cli import main
 
     flagged = [row for row in ROWS if row.flag and row.flag.startswith("--")]
-    assert len(flagged) == 7
+    assert len(flagged) == 6
+    # Each flag takes a value of its row's type; no row is an on/off switch.
+    assert all(row.type is not bool for row in flagged)
     for row in flagged:
         monkeypatch.setenv(row.name, "")  # restored after the test
     assert main(["--retries", "3", "--backend", "thread",
-                 "--no-coalition-cache", "info"]) == 0
+                 "--deadline-s", "2.5", "info"]) == 0
     assert setting("REPRO_RETRIES") == 3
     assert setting("REPRO_BACKEND") == "thread"
-    assert setting("REPRO_COALITION_CACHE") is False
+    assert setting("REPRO_DEADLINE_S") == 2.5
 
 
 def test_cli_bad_value_exits_2_only_when_read():

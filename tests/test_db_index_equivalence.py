@@ -1,17 +1,18 @@
 """Differential harness: every planner path must equal the naive path.
 
-The index/planner PR's contract is *answer equivalence*: for any
-pipeline, :meth:`Query.execute` (index access paths, pushdown, join
-strategy selection) returns exactly what :meth:`Query.legacy_execute`
-(the unoptimized operator chain) returns — same columns, same rows in
-the same order (hence same multiplicities), and the same provenance
-annotations — under all four semirings. Seeded random generators cover
+The index/planner contract is *answer equivalence*: for any pipeline,
+:meth:`Query.execute` (index access paths, pushdown, join strategy
+selection) returns exactly what ``legacy_execute`` (the unoptimized
+operator chain) returns — same columns, same rows in the same order
+(hence same multiplicities), and the same provenance annotations —
+under all four semirings. Seeded random generators cover
 240 pipeline cases; adversarial shapes (empty relations, all-duplicate
 rows, no-shared-column joins, single-row tables, unorderable columns)
 and the refactored consumers (why-not, aggregate explanations, FD
 checks, complaint scopes) each get explicit differential checks, as do
 the interval-encoded provenance queries against the ``legacy_*`` DAG
 walks and the incrementally maintained indexes against fresh rebuilds.
+The ``legacy_*`` oracles live in ``tests.oracles``.
 """
 
 from __future__ import annotations
@@ -33,20 +34,11 @@ from repro.db import (
     Range,
     Relation,
     explain_aggregate,
-    legacy_explain_aggregate,
-    legacy_scope_from_relation,
-    legacy_why_not,
     matching_indices,
     scope_from_relation,
     why_not,
 )
-from repro.db.index import (
-    IntervalIndex,
-    ProvenanceDAG,
-    legacy_ancestors,
-    legacy_descendants,
-    legacy_supports,
-)
+from repro.db.index import IntervalIndex, ProvenanceDAG
 from repro.db.provenance import (
     BooleanSemiring,
     CountingSemiring,
@@ -54,6 +46,17 @@ from repro.db.provenance import (
     WhySemiring,
 )
 from repro.obs import metrics
+from tests.oracles import (
+    legacy_ancestors,
+    legacy_descendants,
+    legacy_execute,
+    legacy_explain_aggregate,
+    legacy_scope_from_relation,
+    legacy_supports,
+    legacy_violating_tuples,
+    legacy_violations,
+    legacy_why_not,
+)
 
 SEMIRINGS = {
     "boolean": BooleanSemiring,
@@ -124,7 +127,7 @@ def _random_pipeline(rng: random.Random, semiring) -> Query:
 
 def _assert_equivalent(query: Query, context: str = "") -> None:
     planned = query.execute()
-    naive = query.legacy_execute()
+    naive = legacy_execute(query)
     assert planned.columns == naive.columns, context
     assert planned.rows == naive.rows, context
     assert planned.annotations == naive.annotations, context
@@ -165,17 +168,6 @@ def test_unorderable_column_falls_back_to_scan():
     _assert_equivalent(Query(mixed).select(Eq("a", 1)))
     _assert_equivalent(Query(mixed).select(Not(Eq("b", "x"))))
     assert matching_indices(mixed, Eq("a", 1)) == [0, 2]
-
-
-def test_kill_switch_disables_indexes(monkeypatch):
-    monkeypatch.setenv("REPRO_DB_INDEX", "0")
-    semiring = CountingSemiring()
-    rng = random.Random(7)
-    for __ in range(5):
-        _assert_equivalent(_random_pipeline(rng, semiring))
-    relation = _random_relation(rng, semiring, "K", min_rows=3)
-    plan = Query(relation).select(Eq(relation.columns[0], 1)).explain_plan()
-    assert "filter scan" in plan and "index" not in plan
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -233,9 +225,9 @@ def test_fd_checks_match_legacy(seed):
     relation = _random_relation(rng, WhySemiring(), "fd",
                                 columns=["a", "b", "c"], max_rows=20)
     fd = FunctionalDependency(lhs=("a",), rhs=("b",))
-    assert fd.violations(relation) == fd.legacy_violations(relation)
+    assert fd.violations(relation) == legacy_violations(fd, relation)
     assert fd.violating_tuples(relation) == \
-        fd.legacy_violating_tuples(relation)
+        legacy_violating_tuples(fd, relation)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -369,9 +361,9 @@ def _assert_indexes_match_rebuild(relation: Relation, rng: random.Random,
     predicate = And(Eq("a", rng.randint(0, 9)),
                     Range("b", lo, lo + 2, lo_closed=True))
     query = Query(relation).select(predicate)
-    assert query.execute().rows == query.legacy_execute().rows
+    assert query.execute().rows == legacy_execute(query).rows
     assert query.execute().annotations == \
-        query.legacy_execute().annotations
+        legacy_execute(query).annotations
     if not full:
         return
     assert by_b.range_ids() == rebuilt_b.range_ids()
@@ -381,9 +373,9 @@ def _assert_indexes_match_rebuild(relation: Relation, rng: random.Random,
             dict(fresh.indexes.hash_index(columns).groups())
     for fd in (FunctionalDependency(lhs=("a",), rhs=("b",)),
                FunctionalDependency(lhs=("a", "b"), rhs=("c",))):
-        assert fd.violations(relation) == fd.legacy_violations(relation)
+        assert fd.violations(relation) == legacy_violations(fd, relation)
         assert fd.violating_tuples(relation) == \
-            fd.legacy_violating_tuples(relation)
+            legacy_violating_tuples(fd, relation)
 
 
 @pytest.mark.parametrize("full_every", [1, 25])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import (And, CountingSemiring, Eq, Query, Range, Relation,
                       WhySemiring)
+from tests.oracles import legacy_execute
 
 
 @pytest.fixture()
@@ -166,7 +167,7 @@ def test_negative_delete_keeps_indexes_equal_to_a_rebuild(employees):
     assert salary_index.range_ids() == [0, 1, 2, 3]
     query = Query(employees).select(
         And(Eq("dept", "cs"), Range("salary", 50, 200)))
-    assert query.execute().rows == query.legacy_execute().rows == [
+    assert query.execute().rows == legacy_execute(query).rows == [
         ("ann", "cs", 100), ("bob", "cs", 120)]
 
 
@@ -194,14 +195,14 @@ def test_nan_column_falls_back_to_the_scan():
     fresh = relation.subset(range(len(relation)))
     for window in (Range("b", 0.05, 2.0), Range("b")):
         query = Query(relation).select(window)
-        assert query.execute().rows == query.legacy_execute().rows == \
-            Query(fresh).select(window).legacy_execute().rows
+        assert query.execute().rows == legacy_execute(query).rows == \
+            legacy_execute(Query(fresh).select(window)).rows
     assert Query(relation).select(Range("b", 0.05, 2.0)).execute().rows \
         == [(1.0,), (2.0,), (0.1,)]
     assert relation.indexes.sort_index("b") is None
     scattered = Relation(["b"], [(3.0,), (nan,), (1.0,), (2.0,), (0.5,)])
     query = Query(scattered).select(Range("b", 0.9, 3.0))
-    assert query.execute().rows == query.legacy_execute().rows == [
+    assert query.execute().rows == legacy_execute(query).rows == [
         (3.0,), (1.0,), (2.0,)]
 
 

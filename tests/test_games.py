@@ -2,9 +2,9 @@
 shared telemetry, and graceful degradation under budgets.
 
 The games refactor's contract is that routing a workload through
-``repro.games`` changes *nothing numerically*: every family keeps a
-``legacy_*`` implementation (or an ``engine=False`` switch), and these
-tests pin the new path to the old one bitwise at equal seeds.
+``repro.games`` changes *nothing numerically*: every family's pre-games
+loop is kept as a reference implementation in ``tests.oracles``, and
+these tests pin the library's one path to it bitwise at equal seeds.
 """
 
 import numpy as np
@@ -24,10 +24,6 @@ from repro.datavalue import (
     beta_shapley,
     distributional_shapley,
     gradient_shapley,
-    legacy_beta_shapley,
-    legacy_distributional_shapley,
-    legacy_gradient_shapley,
-    legacy_tmc_shapley,
     tmc_shapley,
 )
 from repro.db import Relation, shapley_of_tuples
@@ -48,7 +44,16 @@ from repro.models.model_selection import train_test_split
 from repro.obs.metrics import counter, reset_metrics
 from repro.robust import GuardConfig, TransientModelError, guard_scope
 from repro.shapley import exact_shapley, kernel_shap, permutation_shapley
-from repro.shapley.sampling import legacy_permutation_shapley
+from tests.oracles import (
+    legacy_asymmetric_explain,
+    legacy_beta_shapley,
+    legacy_causal_explain,
+    legacy_distributional_shapley,
+    legacy_gradient_shapley,
+    legacy_permutation_shapley,
+    legacy_shapley_of_tuples,
+    legacy_tmc_shapley,
+)
 
 
 def _quadratic_game(n):
@@ -134,10 +139,10 @@ class TestGameProtocol:
         assert utility.calls == 1  # three duplicates served by the cache
         assert v.cache.hits == 3 and v.cache.misses == 1
 
-    def test_cache_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COALITION_CACHE", "0")
+    def test_cache_kill_switch(self):
+        # cache=False evaluates every coalition, duplicates included.
         utility = _CountingValue(3)
-        v = game_value_function(utility.as_game())
+        v = game_value_function(utility.as_game(), cache=False)
         v(np.array([[True, False, False]] * 4))
         assert utility.calls == 4
         assert v.cache is None
@@ -163,7 +168,7 @@ class _CountingValue:
 
 
 class TestSamplingParity:
-    """games permutation_estimator == the retained legacy walk loop."""
+    """games permutation_estimator == the pre-games walk loop."""
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("n_permutations", [1, 2, 9, 40])
@@ -326,13 +331,13 @@ def _total(rel):
 class TestTupleParity:
     def test_exact_engine_matches_legacy(self, sales):
         new = shapley_of_tuples(sales, _total, method="exact")
-        old = shapley_of_tuples(sales, _total, method="exact", engine=False)
+        old = legacy_shapley_of_tuples(sales, _total, method="exact")
         assert new == old
 
     def test_sampling_engine_matches_legacy(self, sales):
         kwargs = dict(method="sampling", n_permutations=30, seed=2)
         new = shapley_of_tuples(sales, _total, **kwargs)
-        old = shapley_of_tuples(sales, _total, engine=False, **kwargs)
+        old = legacy_shapley_of_tuples(sales, _total, **kwargs)
         assert new == old
 
     def test_game_respects_exogenous_context(self, sales):
@@ -362,40 +367,40 @@ class TestCausalParity:
     def test_asymmetric_bitwise(self, chain_scm):
         x = np.array([1.0, 0.5])
         kwargs = dict(n_permutations=12, n_samples=60, seed=5)
-        new = AsymmetricShapleyExplainer(
+        explainer = AsymmetricShapleyExplainer(
             _chain_model, chain_scm, ["a", "b"], **kwargs
-        ).explain(x)
-        old = AsymmetricShapleyExplainer(
-            _chain_model, chain_scm, ["a", "b"], engine=False, **kwargs
-        ).explain(x)
+        )
+        new = explainer.explain(x)
+        old = legacy_asymmetric_explain(explainer, x)
         assert np.array_equal(new.values, old.values)
         assert new.base_value == old.base_value
 
     def test_asymmetric_custom_value_fn_bitwise(self, chain_scm):
         x = np.array([0.5, -1.0])
         kwargs = dict(n_permutations=6, n_samples=40, seed=8)
-        results = []
-        for engine in (True, False):
-            v = conditional_value_function(
+        explainer = AsymmetricShapleyExplainer(
+            _chain_model, chain_scm, ["a", "b"], **kwargs
+        )
+
+        def value_fn():
+            return conditional_value_function(
                 chain_scm, _chain_model, ["a", "b"], x,
                 n_samples=40, seed=8,
             )
-            att = AsymmetricShapleyExplainer(
-                _chain_model, chain_scm, ["a", "b"], engine=engine, **kwargs
-            ).explain(x, value_fn=v)
-            results.append(att)
-        assert np.array_equal(results[0].values, results[1].values)
-        assert results[0].base_value == results[1].base_value
+
+        new = explainer.explain(x, value_fn=value_fn())
+        old = legacy_asymmetric_explain(explainer, x, value_fn=value_fn())
+        assert np.array_equal(new.values, old.values)
+        assert new.base_value == old.base_value
 
     def test_causal_bitwise(self, chain_scm):
         x = np.array([1.0, 1.0])
         kwargs = dict(n_permutations=10, n_samples=50, seed=3)
-        new = CausalShapleyExplainer(
+        explainer = CausalShapleyExplainer(
             _chain_model, chain_scm, ["a", "b"], **kwargs
-        ).explain(x)
-        old = CausalShapleyExplainer(
-            _chain_model, chain_scm, ["a", "b"], engine=False, **kwargs
-        ).explain(x)
+        )
+        new = explainer.explain(x)
+        old = legacy_causal_explain(explainer, x)
         assert np.array_equal(new.values, old.values)
         assert np.array_equal(new.meta["direct"], old.meta["direct"])
         assert np.array_equal(new.meta["indirect"], old.meta["indirect"])

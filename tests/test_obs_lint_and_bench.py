@@ -246,18 +246,17 @@ DB_CATCH = {
             for row in sorted(relation.rows):  # <- db-scans
                 out.append(row)
             return out
+
+        # A legacy_* name is no escape, nor is nesting the scan.
+        def legacy_pick(relation, p):
+            def inner():
+                return [r for r in relation.rows if p(r)]  # <- db-scans
+            return inner()
     """,
 }
 
 DB_ALLOW = {
     "src/repro/db/scan_allow.py": """
-        # legacy_* oracles scan by design (differential-test baselines),
-        # and so do the functions nested in them.
-        def legacy_pick(relation, p):
-            def inner():
-                return [r for r in relation.rows if p(r)]
-            return inner()
-
         # Point lookups over index-provided ids are not scans.
         def per_group(relation, members):
             return [relation.rows[i] for i in members]
@@ -467,9 +466,10 @@ def test_batch_lint_accepts_marked_loops_and_workers(tmp_path):
 
 def test_db_scan_lint_catches_row_loops(tmp_path):
     found = _lint(tmp_path, DB_CATCH)
-    # Both the comprehension and the sorted()-wrapped for loop.
+    # The comprehension, the sorted()-wrapped for loop and the scan
+    # nested in a legacy_* function.
     assert found == {("db-scans", "src/repro/db/scan_catch.py", line)
-                     for line in (2, 4)}
+                     for line in (2, 4, 11)}
     assert found == _marked(DB_CATCH)
 
 
@@ -709,21 +709,6 @@ def test_bench_compare_tolerates_noise_and_gaps(tmp_path):
     bad.write_text("{not json")
     assert compare.load_summary(str(bad)) == {}
     assert compare.main(["--baseline", str(bad), "--fresh", str(bad)]) == 0
-
-
-def test_bench_compare_enforces_speedup_floors():
-    """Headline ratios (e.g. E45's indexed_speedup) have absolute floors."""
-    compare = _load_script(BENCH_COMPARE, "bench_compare")
-    assert compare.FLOORS["E45_indexed_provenance"]["indexed_speedup"] == 10.0
-    healthy = {"E45_indexed_provenance": {"indexed_speedup": 400.0}}
-    assert compare.floor_shortfalls(healthy) == []
-    eroded = {"E45_indexed_provenance": {"indexed_speedup": 4.0}}
-    found = compare.floor_shortfalls(eroded)
-    assert len(found) == 1
-    assert "indexed_speedup" in found[0] and "10.0x floor" in found[0]
-    # An experiment (or key) that was not freshly run is skipped.
-    assert compare.floor_shortfalls({"E45_indexed_provenance": {}}) == []
-    assert compare.floor_shortfalls({}) == []
 
 
 def test_bench_compare_warns_on_missing_baseline(tmp_path, capfd):
